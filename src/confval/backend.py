@@ -6,6 +6,11 @@ MockBackend is the test double: scripted responses plus four default
 behaviors, bit-deterministic for a fixed seed regardless of thread
 interleaving because every response is a pure function of
 (seed, prompt fingerprint, per-prompt call index).
+
+Concurrency has one owner: each backend object gets one request pool of
+config.max_parallel threads, created on first use and shared by every
+caller. max_parallel is therefore a per-backend limit on requests in flight
+across all `evaluate --jobs` workers; --jobs only overlaps files.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import os
 import random
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -76,8 +82,31 @@ def query(backend: Backend, prompt: Prompt) -> str:
     return backend.query(prompt)
 
 
+# One request pool per backend. Keyed weakly, so a backend's worker threads
+# exit once the backend is collected; the pool itself holds no reference to
+# its backend. Kept outside the object so subclasses need not call
+# Backend.__init__.
+_pools: weakref.WeakKeyDictionary[Backend, ThreadPoolExecutor] = weakref.WeakKeyDictionary()
+_pools_lock = threading.Lock()
+
+
+def _request_pool(backend: Backend) -> ThreadPoolExecutor:
+    with _pools_lock:
+        pool = _pools.get(backend)
+        if pool is None:
+            pool = ThreadPoolExecutor(
+                max_workers=backend.config.max_parallel, thread_name_prefix="confval-request"
+            )
+            _pools[backend] = pool
+        return pool
+
+
 def query_batch(backend: Backend, prompt: Prompt, count: int) -> list[str | BackendError]:
-    """count completions with at most max_parallel in flight; slot order kept.
+    """count completions through the backend's shared request pool; slot order kept.
+
+    The pool has config.max_parallel threads and serves every caller of this
+    backend, so concurrent batches (one per `--jobs` file worker) together
+    never have more than max_parallel requests in flight.
 
     A slot whose query ultimately fails contributes its BackendError instead
     of text; callers decide how to treat partial failure.
@@ -91,9 +120,7 @@ def query_batch(backend: Backend, prompt: Prompt, count: int) -> list[str | Back
         except BackendError as exc:
             return exc
 
-    workers = min(count, backend.config.max_parallel)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(count)))
+    return list(_request_pool(backend).map(one, range(count)))
 
 
 # --- scripted mock ---

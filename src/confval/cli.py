@@ -18,7 +18,7 @@ from pathlib import Path
 from .backend import Backend, BackendConfig, HttpBackend, MockBackend, MockBehavior, MockScript, truth_map
 from .config_model import load_config_file
 from .errors import ConfvalError, SpecError
-from .evaluation import report_csv_tables, run_evaluation, run_sweep
+from .evaluation import MetricsReport, report_csv_tables, run_evaluation, run_sweep
 from .misconfig_gen import DatasetSplit, build_dataset, load_dataset, write_dataset
 from .pipeline import (
     DEFAULT_NUM_QUERIES,
@@ -71,8 +71,13 @@ class FrameworkConfig:
     def __post_init__(self):
         if self.backend not in ("mock", "http"):
             raise SpecError(f"backend must be 'mock' or 'http', got {self.backend!r}")
-        if self.num_queries < 1:
-            raise SpecError("num_queries must be at least 1")
+        # build every derived object once, so a bad value fails at load time
+        try:
+            self.backend_config()
+            self._settings(DEFAULT_QUESTION_TEMPLATE, None)
+            MockScript(MockBehavior(self.mock_behavior), noise_rate=self.mock_noise_rate)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"invalid framework config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FrameworkConfig":
@@ -111,7 +116,13 @@ class FrameworkConfig:
     def pipeline_settings(self, seed: int | None = None) -> PipelineSettings:
         template = DEFAULT_QUESTION_TEMPLATE
         if self.question_template_path:
-            template = Path(self.question_template_path).read_text(encoding="utf-8").strip()
+            try:
+                template = Path(self.question_template_path).read_text(encoding="utf-8").strip()
+            except OSError as exc:
+                raise SpecError(f"cannot read question template: {exc}") from exc
+        return self._settings(template, seed)
+
+    def _settings(self, template: str, seed: int | None) -> PipelineSettings:
         return PipelineSettings(
             num_queries=self.num_queries,
             combination=ShotCombination(self.shot_valid, self.shot_misconfig),
@@ -239,23 +250,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 2 if systemic else 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        _progress(f"error: {exc}")
-        return 2
+def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
+    """Table lines for a report or sweep document, plus the rebuilt report."""
     if "sweep" in doc:
-        print(f"{'combination':<12} {'file F1':>8} {'param F1':>9} {'files':>6}")
+        lines = [f"{'combination':<12} {'file F1':>8} {'param F1':>9} {'files':>6}"]
         for label, report in sorted(doc["sweep"].items()):
             macro = report["macro"]
-            print(
+            lines.append(
                 f"{label:<12} {macro['file']['f1']:>8.3f} "
                 f"{macro['parameter']['f1']:>9.3f} {report['files_scored']:>6}"
             )
-        return 0
-    from .evaluation import MetricsReport  # rebuild for the CSV helper
-
+        return lines, None
     report = MetricsReport(
         per_project=doc["per_project"],
         macro=doc["macro"],
@@ -264,25 +269,37 @@ def cmd_report(args: argparse.Namespace) -> int:
         files_scored=doc["files_scored"],
         failures=tuple(doc.get("failures", ())),
     )
-    print(f"{'project':<16} {'level':<10} {'precision':>9} {'recall':>7} {'f1':>6}")
+    lines = [f"{'project':<16} {'level':<10} {'precision':>9} {'recall':>7} {'f1':>6}"]
     for project, levels in report.per_project.items():
         for level, metrics in levels.items():
-            print(
+            lines.append(
                 f"{project:<16} {level:<10} {metrics['precision']:>9.3f} "
                 f"{metrics['recall']:>7.3f} {metrics['f1']:>6.3f}"
             )
-    print()
-    print(f"{'subcategory':<28} {'micro F1':>8}")
-    for slug, value in report.micro_f1_subcategory.items():
-        print(f"{slug:<28} {value:>8.3f}")
-    print()
-    print(f"{'bucket':<10} {'param F1':>8}")
-    for label, value in report.f1_by_param_count.items():
-        print(f"{label:<10} {value:>8.3f}")
-    if args.csv:
+    lines += ["", f"{'subcategory':<28} {'micro F1':>8}"]
+    lines += [f"{slug:<28} {value:>8.3f}" for slug, value in report.micro_f1_subcategory.items()]
+    lines += ["", f"{'bucket':<10} {'param F1':>8}"]
+    lines += [f"{label:<10} {value:>8.3f}" for label, value in report.f1_by_param_count.items()]
+    return lines, report
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    try:
+        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        _progress(f"error: {exc}")
+        return 2
+    try:
+        lines, report = _render_report(doc)
+        tables = report_csv_tables(report) if args.csv and report else {}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        _progress(f"error: malformed report {args.report}: {exc!r}")
+        return 2
+    print("\n".join(lines))
+    if tables:
         out_dir = Path(args.csv)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in report_csv_tables(report).items():
+        for name, text in tables.items():
             (out_dir / f"{name}.csv").write_text(text, encoding="utf-8")
         _progress(f"CSV tables written to {out_dir}")
     return 0

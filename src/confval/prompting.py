@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
@@ -284,9 +284,15 @@ def fit_to_budget(
 ) -> Prompt:
     """Return the largest prompt within the limit, shedding shots and finally
     compressing the target; raise TokenBudgetExceededError when even the bare
-    compressed target plus question does not fit."""
+    compressed target plus question does not fit.
+
+    A prompt that already fits comes back as is, without a rebuild; its
+    estimate is taken with the given estimator, not read from the prompt."""
     if limit <= 0:
         raise ValueError("token limit must be positive")
+    estimate = estimator(prompt.text)
+    if estimate <= limit:
+        return prompt if estimate == prompt.token_estimate else replace(prompt, token_estimate=estimate)
     for target in (prompt.target, compress(prompt.target)):
         for subset in _shot_subsets(prompt.shots):
             candidate = build_prompt(target, subset, prompt.question_template, estimator)

@@ -1,5 +1,9 @@
+import gc
 import json
+import sys
 import threading
+import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -7,6 +11,7 @@ import requests
 
 from confval.backend import (
     MALFORMED_TEXT,
+    Backend,
     BackendConfig,
     HttpBackend,
     MockBackend,
@@ -20,8 +25,10 @@ from confval.backend import (
 from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
 from confval.constraints import Subcategory
 from confval.errors import BackendError
+from confval.evaluation import run_evaluation
 from confval.misconfig_gen import InjectedFault, Label, LabeledFile
-from confval.prompting import build_prompt
+from confval.pipeline import PipelineSettings
+from confval.prompting import ShotDatabase, build_prompt, shot_from_labeled
 
 
 def target_file(names=("a", "b", "c"), project="demo"):
@@ -133,6 +140,82 @@ class TestMockBackend:
         results = query_batch(backend, prompt, 12)
         assert len(results) == 12
         assert backend.max_in_flight_seen <= 3
+
+    def test_cap_holds_across_evaluation_jobs(self, dataset):
+        # four file workers share the backend's request pool, so at most
+        # max_parallel requests are in flight, and the report does not change
+        split = replace(dataset, eval_set=dataset.eval_set[:16])
+        shot_db = ShotDatabase(shot_from_labeled(lf) for lf in split.shot_pool)
+
+        def run(jobs):
+            backend = MockBackend(
+                MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth_map([split])),
+                BackendConfig(max_parallel=2),
+                delay=0.002,
+            )
+            report = run_evaluation({"demo": split}, backend, shot_db, PipelineSettings(seed=3), jobs=jobs)
+            return report, backend.max_in_flight_seen
+
+        serial, _ = run(1)
+        parallel, peak = run(4)
+        assert peak <= 2
+        assert parallel.to_dict() == serial.to_dict()
+
+    def test_batches_share_one_pool_without_backend_init(self):
+        class Gauge(Backend):
+            # never calls Backend.__init__, like wrapping backends do
+            def __init__(self, config):
+                self.config = config
+                self.lock = threading.Lock()
+                self.in_flight = 0
+                self.peak = 0
+                self.servers = set()
+
+            def query(self, prompt):
+                with self.lock:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                    self.servers.add(threading.get_ident())
+                time.sleep(0.001)
+                with self.lock:
+                    self.in_flight -= 1
+                return "{}"
+
+        backend = Gauge(BackendConfig(max_parallel=2))
+        prompt = build_prompt(target_file(), [])
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(query_batch(backend, prompt, 5)))
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [["{}"] * 5] * 6
+        # six first callers racing for the pool still get one pool of two threads
+        assert len(backend.servers) <= 2
+        assert backend.peak <= 2
+
+    def test_request_threads_end_with_backend(self):
+        gc.collect()
+        before = set(threading.enumerate())
+        backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=3))
+        assert len(query_batch(backend, build_prompt(target_file(), []), 6)) == 6
+        assert set(threading.enumerate()) - before
+        del backend
+        gc.collect()
+        deadline = time.monotonic() + 5.0
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not set(threading.enumerate()) - before
+        assert threading.active_count() <= len(before)
 
     def test_batch_single(self):
         backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import confval
 from confval.cli import main
 from confval.constraints import ValueKind, save_spec_set
 from confval.misconfig_gen import Label
@@ -242,6 +246,51 @@ class TestReport:
         code = main(["report", "--report", str(tmp_path / "none.json")])
         assert code == 2
         capsys.readouterr()
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """The CLI in a child interpreter, so the real exit status and stderr show."""
+    env = dict(os.environ, PYTHONPATH=str(Path(confval.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "confval.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestExitCodeContract:
+    """Bad input is an operational error: exit 2, a named error, no traceback."""
+
+    def _assert_operational_error(self, result, needle):
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert needle in result.stderr
+
+    def _evaluate(self, workspace, **overrides):
+        config = write_config(workspace["tmp"], **overrides)
+        return run_cli("evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config))
+
+    def test_unknown_strategy(self, workspace):
+        result = self._evaluate(workspace, strategy="nope")
+        self._assert_operational_error(result, "invalid framework config")
+
+    def test_temperature_out_of_range(self, workspace):
+        result = self._evaluate(workspace, temperature=5)
+        self._assert_operational_error(result, "temperature")
+
+    def test_missing_question_template(self, workspace):
+        missing = workspace["tmp"] / "no-such-question.txt"
+        result = self._evaluate(workspace, question_template_path=str(missing))
+        self._assert_operational_error(result, "cannot read question template")
+
+    def test_report_without_per_project(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"schema_version": 1}), encoding="utf-8")
+        result = run_cli("report", "--report", str(path))
+        self._assert_operational_error(result, "malformed report")
+        assert result.stdout == ""
 
 
 def test_eval_set_has_both_labels(workspace):

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+
+import confval.pipeline
+import confval.prompting
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,6 +155,22 @@ class TestValidateFile:
         assert verdict.tally == 10
         assert verdict.total_votes == 10
         assert verdict.reasons == (target.injected.reason,)
+
+    def test_fitting_prompt_is_built_once(self, corpus, monkeypatch):
+        dataset, shot_db, _ = corpus
+        calls = []
+        original = confval.prompting.build_prompt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(confval.prompting, "build_prompt", counting)
+        monkeypatch.setattr(confval.pipeline, "build_prompt", counting)
+        backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID))
+        for labeled in dataset.eval_set[:3]:
+            validate_file(labeled.file, backend, shot_db, PipelineSettings(seed=5))
+        assert len(calls) == 3
 
     def test_always_valid_mock_on_valid_file(self, corpus):
         dataset, shot_db, _ = corpus

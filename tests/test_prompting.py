@@ -219,6 +219,30 @@ class TestFitToBudget:
         fitted = fit_to_budget(prompt, 10_000)
         assert fitted.text == prompt.text
 
+    def test_fitting_prompt_is_returned_as_is(self):
+        prompt = build_prompt(small_file(), [self._bulky_shot("v", 0)])
+        assert fit_to_budget(prompt, prompt.token_estimate) is prompt
+
+    def test_estimates_with_the_given_estimator(self):
+        shots = [self._bulky_shot("m", i) for i in range(4)]
+        prompt = build_prompt(small_file(), shots)
+
+        def doubled(text):
+            return 2 * estimate_tokens(text)
+
+        # the stored estimate fits, but the given estimator says it does not
+        fitted = fit_to_budget(prompt, prompt.token_estimate, doubled)
+        assert len(fitted.shots) < len(shots)
+        assert fitted.token_estimate == doubled(fitted.text) <= prompt.token_estimate
+
+        # and the other way round: kept whole, with the given estimator's figure
+        def halved(text):
+            return estimate_tokens(text) // 2
+
+        kept = fit_to_budget(prompt, halved(prompt.text), halved)
+        assert kept.text == prompt.text
+        assert kept.token_estimate == halved(prompt.text)
+
     def test_trims_to_two_shots(self):
         shots = [self._bulky_shot("m", i) for i in range(4)]
         prompt = build_prompt(small_file(), shots)
