@@ -77,7 +77,7 @@ from .misconfig_gen import (
     load_dataset,
     write_dataset,
 )
-from .pipeline import PipelineSettings, Verdict, select_reasons, validate_file, vote
+from .pipeline import PipelineSettings, Verdict, validate_file, vote
 from .prompting import (
     DEFAULT_COMBINATION,
     DEFAULT_QUESTION_TEMPLATE,

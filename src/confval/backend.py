@@ -5,12 +5,16 @@ per query) with bounded, jittered exponential backoff on retryable failures.
 MockBackend is the test double: scripted responses plus four default
 behaviors, bit-deterministic for a fixed seed regardless of thread
 interleaving because every response is a pure function of
-(seed, prompt fingerprint, per-prompt call index).
+(seed, prompt fingerprint, per-prompt call index). The fingerprint is hashed
+once per prompt (Prompt.fingerprint), not once per query.
 
 Concurrency has one owner: each backend object gets one request pool of
 config.max_parallel threads, created on first use and shared by every
 caller. max_parallel is therefore a per-backend limit on requests in flight
-across all `evaluate --jobs` workers; --jobs only overlaps files.
+across all `evaluate --jobs` workers; --jobs only overlaps files. A batch
+hands the pool one drain task per thread it may use, not one task per slot.
+
+`requests` is imported only by HttpBackend, so offline runs never load it.
 """
 
 from __future__ import annotations
@@ -21,16 +25,17 @@ import random
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import BackendError
-from .prompting import Prompt
+from .prompting import Prompt, prompt_fingerprint  # noqa: F401  (re-exported)
 from .responses import misconfig_answer, valid_answer
+
+if TYPE_CHECKING:
+    import requests
 
 RETRY_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 1.0
@@ -64,10 +69,6 @@ class Backend:
 
     def query(self, prompt: Prompt) -> str:
         raise NotImplementedError
-
-
-def prompt_fingerprint(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def query(backend: Backend, prompt: Prompt) -> str:
@@ -106,21 +107,45 @@ def query_batch(backend: Backend, prompt: Prompt, count: int) -> list[str | Back
 
     The pool has config.max_parallel threads and serves every caller of this
     backend, so concurrent batches (one per `--jobs` file worker) together
-    never have more than max_parallel requests in flight.
+    never have more than max_parallel requests in flight. The batch submits
+    min(count, max_parallel) drain tasks, each taking the next unissued slot
+    until none is left.
 
     A slot whose query ultimately fails contributes its BackendError instead
-    of text; callers decide how to treat partial failure.
+    of text; callers decide how to treat partial failure. Any other exception
+    reaches the caller as soon as it is raised; the batch issues no further
+    slot after it, though slots already in flight run to completion.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    results: list = [None] * count
+    lock = threading.Lock()
+    next_slot = 0
 
-    def one(_slot: int) -> str | BackendError:
-        try:
-            return query(backend, prompt)
-        except BackendError as exc:
-            return exc
+    def drain() -> None:
+        nonlocal next_slot
+        while True:
+            with lock:
+                slot = next_slot
+                next_slot += 1
+            if slot >= count:
+                return
+            try:
+                results[slot] = query(backend, prompt)
+            except BackendError as exc:
+                results[slot] = exc
+            except BaseException:
+                with lock:
+                    next_slot = count
+                raise
 
-    return list(_request_pool(backend).map(one, range(count)))
+    pool = _request_pool(backend)
+    tasks = [pool.submit(drain) for _ in range(min(count, backend.config.max_parallel))]
+    # returns once every task is done, or as soon as one of them raises
+    done, _ = wait(tasks, return_when=FIRST_EXCEPTION)
+    for task in done:
+        task.result()
+    return results
 
 
 # --- scripted mock ---
@@ -191,7 +216,7 @@ class MockBackend(Backend):
         self.total_calls = 0
 
     def query(self, prompt: Prompt) -> str:
-        fingerprint = prompt_fingerprint(prompt.text)
+        fingerprint = prompt.fingerprint
         with self._lock:
             index = self._calls.get(fingerprint, 0)
             self._calls[fingerprint] = index + 1
@@ -253,7 +278,11 @@ class HttpBackend(Backend):
         if not config.endpoint:
             raise ValueError("HttpBackend requires an endpoint URL")
         self.config = config
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
         self._rng = rng or random.Random()
 
@@ -276,6 +305,8 @@ class HttpBackend(Backend):
         )
 
     def _query_once(self, prompt: Prompt) -> str:
+        import requests
+
         key = os.environ.get(self.config.credentials_env, "")
         if not key:
             raise BackendError(

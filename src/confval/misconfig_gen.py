@@ -678,11 +678,23 @@ def write_dataset(split: DatasetSplit, root: str | Path, specs: SpecSet) -> Path
 
 
 def load_dataset(project_dir: str | Path) -> tuple[str, DatasetSplit]:
-    """Read one project's corpus back from disk."""
+    """Read one project's corpus back from disk.
+
+    Raises SpecError when the manifest is malformed or unreadable, or when a
+    file's content no longer matches the content_key its manifest row records.
+    """
+    manifest_path = Path(project_dir) / MANIFEST_NAME
+    try:
+        return _read_dataset(manifest_path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"malformed dataset manifest {manifest_path}: {exc!r}") from exc
+
+
+def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
     from .config_model import load_config_file  # local import keeps module load light
 
-    project_dir = Path(project_dir)
-    manifest = json.loads((project_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
+    project_dir = manifest_path.parent
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     project = manifest["project"]
     version = manifest["version"]
     shots: list[LabeledFile] = []
@@ -694,6 +706,10 @@ def load_dataset(project_dir: str | Path) -> tuple[str, DatasetSplit]:
             version,
             ConfigFormat(row["format"]),
         )
+        if file.content_key() != row["content_key"]:
+            raise SpecError(
+                f"{project_dir / row['path']} does not match its manifest content_key"
+            )
         injected = None
         if row["label"] == Label.MISCONFIG.value:
             injected = InjectedFault(

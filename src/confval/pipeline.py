@@ -100,6 +100,13 @@ def vote(responses: list[ValidationResponse]) -> Verdict:
 def _reasons_for_key(
     responses: list[ValidationResponse], key: tuple[bool, tuple[str, ...]]
 ) -> list[str]:
+    """One representative reason per flagged parameter.
+
+    For each parameter, the reasons paired with it across winning-key
+    responses are clustered by TF-IDF cosine; the dominant cluster's medoid
+    speaks for the parameter. Hallucinated stragglers land in small clusters
+    and are never chosen.
+    """
     winners = [r for r in responses if r.canonical_key() == key]
     selected = []
     for parameter in key[1]:
@@ -111,19 +118,6 @@ def _reasons_for_key(
         if pool:
             selected.append(dominant_representative(pool))
     return selected
-
-
-def select_reasons(responses: list[ValidationResponse], verdict: Verdict) -> list[str]:
-    """One representative reason per flagged parameter.
-
-    For each parameter, the reasons paired with it across winning-key
-    responses are clustered by TF-IDF cosine; the dominant cluster's medoid
-    speaks for the parameter. Hallucinated stragglers land in small clusters
-    and are never chosen.
-    """
-    if not verdict.hasError:
-        return []
-    return _reasons_for_key(responses, verdict.canonical_key)
 
 
 @dataclass(frozen=True)

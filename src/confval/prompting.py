@@ -10,6 +10,7 @@ target to INI as a last resort before giving up.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .config_model import ConfigFile, compress, render_config
+from .config_model import ConfigFile, compress, frozen_cached_property, render_config
 from .errors import InsufficientShotsError, TokenBudgetExceededError
 from .misconfig_gen import Label, LabeledFile, load_dataset
 from .responses import ValidationResponse, misconfig_answer, valid_answer
@@ -59,6 +60,17 @@ class Shot:
     @property
     def label(self) -> Label:
         return self.labeled.label
+
+    # A shot is frozen, so its file is rendered and its answer serialised once,
+    # however many prompts it goes into.
+    @frozen_cached_property
+    def rendered_file(self) -> str:
+        file = self.labeled.file
+        return render_config(file, file.format)
+
+    @frozen_cached_property
+    def answer_json(self) -> str:
+        return self.ground_truth_answer.to_json()
 
 
 def shot_from_labeled(labeled: LabeledFile) -> Shot:
@@ -215,6 +227,10 @@ def select_shots(
     return valid + misconfig
 
 
+def prompt_fingerprint(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class Prompt:
     """Rendered prompt plus everything needed to rebuild it under a budget."""
@@ -226,6 +242,11 @@ class Prompt:
     question_template: str
     text: str
     token_estimate: int
+
+    @frozen_cached_property
+    def fingerprint(self) -> str:
+        """prompt_fingerprint(text), hashed once per prompt, not once per query."""
+        return prompt_fingerprint(self.text)
 
 
 def _question(template: str, project: str, version: str) -> str:
@@ -248,9 +269,9 @@ def build_prompt(
         file = shot.labeled.file
         blocks.append(
             f"### Configuration File Shot #{i}\n"
-            f"{render_config(file, file.format)}"
+            f"{shot.rendered_file}"
             f"Q: {_question(question_template, file.project, file.version)}\n"
-            f"A: {shot.ground_truth_answer.to_json()}"
+            f"A: {shot.answer_json}"
         )
     blocks.append(
         "### Configuration File\n"

@@ -4,6 +4,9 @@ Tokens are lowercase alphanumeric runs. IDF is smoothed,
 idf(t) = ln((1 + n) / (1 + df(t))) + 1, and vectors are L2-normalized, so
 cosine similarity is a plain dot product. Corpora here are tiny (a handful of
 reason strings or shot files), so sparse dicts beat pulling in an array stack.
+
+When every reason in a list is the same string (ten votes that agree),
+dominant_representative returns it without clustering.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def dominant_representative(docs: list[str], threshold: float = 0.4) -> str:
     medoid is most tightly connected, then to the earliest cluster."""
     if not docs:
         raise ValueError("no documents to cluster")
-    if len(docs) == 1:
+    if docs.count(docs[0]) == len(docs):
         return docs[0]
     sims = similarity_matrix(docs)
     clusters = single_linkage_clusters(sims, threshold)

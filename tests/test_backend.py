@@ -1,14 +1,18 @@
 import gc
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 import requests
 
+import confval
 from confval.backend import (
     MALFORMED_TEXT,
     Backend,
@@ -17,6 +21,7 @@ from confval.backend import (
     MockBackend,
     MockBehavior,
     MockScript,
+    _request_pool,
     prompt_fingerprint,
     query,
     query_batch,
@@ -170,9 +175,11 @@ class TestMockBackend:
                 self.in_flight = 0
                 self.peak = 0
                 self.servers = set()
+                self.calls = 0
 
             def query(self, prompt):
                 with self.lock:
+                    self.calls += 1
                     self.in_flight += 1
                     self.peak = max(self.peak, self.in_flight)
                     self.servers.add(threading.get_ident())
@@ -199,6 +206,7 @@ class TestMockBackend:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert results == [["{}"] * 5] * 6
+        assert backend.calls == 30  # each slot issued exactly once
         # six first callers racing for the pool still get one pool of two threads
         assert len(backend.servers) <= 2
         assert backend.peak <= 2
@@ -216,6 +224,43 @@ class TestMockBackend:
             time.sleep(0.01)
         assert not set(threading.enumerate()) - before
         assert threading.active_count() <= len(before)
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_foreign_error_stops_the_batch(self, parallel):
+        release = threading.Event()
+
+        class Failing(Backend):
+            def __init__(self):
+                self.config = BackendConfig(max_parallel=parallel)
+                self.lock = threading.Lock()
+                self.calls = 0
+
+            def query(self, prompt):
+                with self.lock:
+                    self.calls += 1
+                    call = self.calls
+                if call == 1:
+                    raise RuntimeError("backend bug")
+                # every other slot stays in flight until the error has reached the caller
+                release.wait(timeout=30)
+                return "{}"
+
+        backend = Failing()
+        with pytest.raises(RuntimeError, match="backend bug"):
+            query_batch(backend, build_prompt(target_file(), []), 8)
+        release.set()
+        _request_pool(backend).shutdown(wait=True)
+        # the failing slot, plus at most the one other thread's slot in flight
+        assert backend.calls <= parallel
+
+    def test_offline_import_leaves_requests_unloaded(self):
+        code = "import sys, confval, confval.cli; print('requests' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(confval.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_batch_single(self):
         backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID))

@@ -285,6 +285,28 @@ class TestExitCodeContract:
         result = self._evaluate(workspace, question_template_path=str(missing))
         self._assert_operational_error(result, "cannot read question template")
 
+    def test_tampered_corpus_file(self, workspace):
+        row = manifest_rows(workspace["dataset"])[0]
+        path = workspace["dataset"] / "clitest" / row["path"]
+        text = path.read_text(encoding="utf-8")
+        if row["format"] == "xml":
+            extra = "  <property>\n    <name>tampered</name>\n    <value>1</value>\n  </property>\n"
+            text = text.replace("</configuration>", extra + "</configuration>")
+        else:
+            text += "tampered=1\n"
+        path.write_text(text, encoding="utf-8")
+        result = self._evaluate(workspace)
+        self._assert_operational_error(result, "does not match its manifest content_key")
+        assert row["path"] in result.stderr
+
+    def test_manifest_without_files(self, workspace):
+        path = workspace["dataset"] / "clitest" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["files"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        result = self._evaluate(workspace)
+        self._assert_operational_error(result, "malformed dataset manifest")
+
     def test_report_without_per_project(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"schema_version": 1}), encoding="utf-8")

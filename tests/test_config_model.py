@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +118,29 @@ class TestCompress:
         assert compress(file).content_key() == file.content_key()
 
 
+class TestContentKey:
+    def test_cached_key_takes_no_part_in_identity(self):
+        entries = [ConfigEntry("p", "1", "d"), ConfigEntry("q", "2")]
+        fresh, keyed = make_file(entries), make_file(entries)
+        key = keyed.content_key()
+        assert keyed.content_key() is key
+        assert keyed == fresh
+        assert hash(keyed) == hash(fresh)
+        assert repr(keyed) == repr(fresh)
+        for original in (keyed, fresh):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == fresh
+            assert copy.content_key() == key
+
+    def test_replace_computes_its_own_key(self):
+        file = make_file([ConfigEntry("p", "1")])
+        file.content_key()
+        changed = replace(file, version="2.0")
+        fresh = make_file([ConfigEntry("p", "1")], version="2.0")
+        assert changed.content_key() == fresh.content_key()
+        assert changed.content_key() != file.content_key()
+
+
 class TestDiff:
     def test_changed_entries_only(self):
         diff = ConfigDiff(None, (ConfigEntry("a", "1"),), ())
@@ -190,3 +216,4 @@ def test_compression_strictly_shrinks_token_estimate(file):
     before = estimate_tokens(render_config(file, ConfigFormat.XML))
     after = estimate_tokens(render_config(compress(file), ConfigFormat.INI))
     assert after < before
+

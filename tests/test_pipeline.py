@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -198,6 +199,37 @@ class TestValidateFile:
         assert verdict.hasError is True
         assert verdict.discarded_count == 2
         assert backend.total_calls == 3
+
+    def test_repeated_rejections_are_counted_per_slot(self, corpus):
+        dataset, shot_db, truth = corpus
+        target = first_eval(dataset, Label.MISCONFIG)
+        settings = PipelineSettings(
+            num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0)
+        )
+        fp = prompt_fingerprint(build_prompt(target.file, [], settings.question_template).text)
+        a, b = target.injected.parameter, "other.parameter"
+        rejected = {
+            "R1": {"hasError": False, "errParameter": [a], "reason": ["odd"]},
+            "R2": {"hasError": True, "errParameter": [], "reason": []},
+            "R3": {"hasError": True, "errParameter": [a, b], "reason": ["odd"]},
+            "R4": {"hasError": True, "errParameter": [a, a], "reason": ["odd", "odd"]},
+        }
+        # rounds of 4, 4, 4 and 2 slots; each rejected text comes twice
+        order = [MALFORMED_TEXT] * 2
+        for rule in ("R1", "R2", "R3", "R4"):
+            order += [json.dumps(rejected[rule])] * 2
+        script = MockScript(
+            MockBehavior.ECHO_GROUND_TRUTH,
+            truth=truth,
+            responses={(fp, i): text for i, text in enumerate(order)},
+        )
+        backend = MockBackend(script)
+        verdict = validate_file(target.file, backend, shot_db, settings)
+        assert backend.total_calls == 14
+        assert verdict.discarded_count == 10
+        assert verdict.canonical_key == (True, (a,))
+        assert (verdict.tally, verdict.total_votes) == (4, 4)
+        assert verdict.reasons == (target.injected.reason,)
 
     def test_all_slots_exhausted_is_an_error(self, corpus):
         dataset, shot_db, _ = corpus

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
+import confval.prompting
+from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat, render_config
 from confval.constraints import Subcategory
 from confval.errors import InsufficientShotsError, TokenBudgetExceededError
 from confval.misconfig_gen import InjectedFault, Label, LabeledFile
@@ -18,6 +19,7 @@ from confval.prompting import (
     enumerate_shot_combinations,
     estimate_tokens,
     fit_to_budget,
+    prompt_fingerprint,
     select_shots,
     shot_from_labeled,
     split_file,
@@ -205,6 +207,29 @@ class TestBuildPrompt:
         prompt = build_prompt(target, [])
         assert "for quorumd version 1.0" in prompt.text
         assert "[PROJECT]" not in prompt.text
+
+    def test_shots_render_once_across_prompts(self, monkeypatch):
+        rendered = []
+
+        def counting(file, fmt):
+            rendered.append(file)
+            return render_config(file, fmt)
+
+        monkeypatch.setattr(confval.prompting, "render_config", counting)
+        shots = [valid_shot(names=("z", "q")), misconfig_shot()]
+        build_prompt(small_file(), shots)
+        target = small_file(names=("c",))
+        prompt = build_prompt(target, shots, "Any mistakes in [PROJECT] [VERSION]?")
+        assert len(rendered) == 4  # each shot once, each target once
+        question = "Q: Any mistakes in demo 1.0?"
+        blocks = [
+            f"### Configuration File Shot #{i}\n{render_config(shot.labeled.file, ConfigFormat.XML)}"
+            f"{question}\nA: {shot.ground_truth_answer.to_json()}"
+            for i, shot in enumerate(shots, start=1)
+        ]
+        blocks.append(f"### Configuration File\n{render_config(target, ConfigFormat.XML)}{question}")
+        assert prompt.text == "\n\n".join(blocks)
+        assert prompt.fingerprint == prompt_fingerprint(prompt.text)
 
 
 class TestFitToBudget:

@@ -1,5 +1,9 @@
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from confval import textsim
 from confval.textsim import (
     dominant_representative,
     medoid,
@@ -90,3 +94,50 @@ def test_rank_by_similarity_orders_by_overlap():
     order = rank_by_similarity(query, docs)
     assert order[0] == 1
     assert order[-1] == 0
+
+
+# --- reference: the clustering as it was before equal documents were short-cut ---
+
+
+def _reference_dominant_representative(docs, threshold=0.4):
+    if len(docs) == 1:
+        return docs[0]
+    sims = similarity_matrix(docs)
+    clusters = single_linkage_clusters(sims, threshold)
+    best_cluster = None
+    best_rank = None
+    for cluster in clusters:
+        rep = medoid(cluster, sims)
+        rank = (float(len(cluster)), sum(sims[rep][j] for j in cluster))
+        if best_rank is None or rank > best_rank:
+            best_cluster, best_rank = cluster, rank
+    return docs[medoid(best_cluster, sims)]
+
+
+REASON_POOL = [
+    "port out of range",
+    "port value out of range",
+    "Port OUT of range!",
+    "range port out",
+    "value of p looks wrong",
+    "file missing entirely",
+    "alpha beta gamma",
+    "alpha beta delta",
+    "!!!",
+    "",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(REASON_POOL), min_size=1, max_size=12))
+def test_matches_reference_on_repeated_documents(docs):
+    assert dominant_representative(docs) == _reference_dominant_representative(docs)
+
+
+def test_equal_documents_skip_clustering(monkeypatch):
+    def unexpected(docs):
+        raise AssertionError("clustered a list of equal documents")
+
+    monkeypatch.setattr(textsim, "similarity_matrix", unexpected)
+    assert dominant_representative(["same reason"] * 10) == "same reason"
+    assert dominant_representative(["!!!"] * 3) == "!!!"
