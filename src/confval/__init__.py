@@ -73,7 +73,6 @@ from .misconfig_gen import (
     build_dataset,
     generate_invalid_value,
     generate_valid_value,
-    inject_dependency_misconfig,
     load_dataset,
     write_dataset,
 )
@@ -90,6 +89,7 @@ from .prompting import (
     enumerate_shot_combinations,
     estimate_tokens,
     fit_to_budget,
+    load_corpus,
     load_shot_db,
     select_shots,
     shot_from_labeled,

@@ -31,7 +31,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import BackendError
-from .prompting import Prompt, prompt_fingerprint  # noqa: F401  (re-exported)
+from .misconfig_gen import DatasetSplit
+from .prompting import Prompt, labeled_answer, prompt_fingerprint  # noqa: F401  (re-exported)
 from .responses import misconfig_answer, valid_answer
 
 if TYPE_CHECKING:
@@ -182,23 +183,11 @@ def truth_map(splits) -> dict[str, str]:
 
     Accepts any iterable of LabeledFile or of DatasetSplit objects.
     """
-    from .misconfig_gen import DatasetSplit, Label  # cycle-free local import
-
     out: dict[str, str] = {}
-
-    def add(labeled):
-        if labeled.label is Label.VALID:
-            answer = valid_answer()
-        else:
-            answer = misconfig_answer(labeled.injected.parameter, labeled.injected.reason)
-        out[labeled.file.content_key()] = answer.to_json()
-
     for item in splits:
-        if isinstance(item, DatasetSplit):
-            for labeled in item.shot_pool + item.eval_set:
-                add(labeled)
-        else:
-            add(item)
+        files = item.shot_pool + item.eval_set if isinstance(item, DatasetSplit) else (item,)
+        for labeled in files:
+            out[labeled.file.content_key()] = labeled_answer(labeled).to_json()
     return out
 
 

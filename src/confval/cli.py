@@ -9,34 +9,75 @@ only (verdict or report JSON, count summaries).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .backend import Backend, BackendConfig, HttpBackend, MockBackend, MockBehavior, MockScript, truth_map
 from .config_model import load_config_file
 from .errors import ConfvalError, SpecError
 from .evaluation import MetricsReport, report_csv_tables, run_evaluation, run_sweep
-from .misconfig_gen import DatasetSplit, build_dataset, load_dataset, write_dataset
-from .pipeline import (
-    DEFAULT_NUM_QUERIES,
-    DEFAULT_RETRY_BOUND,
-    PipelineSettings,
-    validate_file,
-)
+from .misconfig_gen import DatasetSplit, build_dataset, write_dataset
+from .pipeline import PipelineSettings, validate_file
 from .prompting import (
     DEFAULT_COMBINATION,
     DEFAULT_QUESTION_TEMPLATE,
     SelectionStrategy,
     ShotCombination,
     ShotDatabase,
-    load_shot_db,
+    load_corpus,
+    shot_db_from,
 )
 from .constraints import load_spec_set
 
-CONFIG_SCHEMA_VERSION = 1
+# The JSON types each framework config key accepts, by section. A bool is
+# never a number here, although Python counts it as an int.
+_NUMBER = (int, float)
+_PATH = (str, type(None))
+_BACKEND_KEYS = {
+    "model_id": (str,),
+    "temperature": _NUMBER,
+    "token_limit": (int,),
+    "endpoint": (str,),
+    "credentials_env": (str,),
+    "request_timeout": _NUMBER,
+    "max_parallel": (int,),
+}
+_TOP_KEYS = {
+    "schema_version": (int,),
+    "backend": (str,),
+    "num_queries": (int,),
+    "strategy": (str,),
+    "retry_bound": (int,),
+    "seed": (int,),
+    "shots": (dict,),
+    "shot_db": _PATH,
+    "question_template_path": _PATH,
+    "mock": (dict,),
+    **_BACKEND_KEYS,
+}
+_SHOTS_KEYS = {"valid": (int,), "misconfig": (int,)}
+_MOCK_KEYS = {"behavior": (str,), "noise_rate": _NUMBER, "seed": (int, type(None)), "truth_from": _PATH}
+_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object", type(None): "null"}
+_DEFAULT_MOCK = MockScript(noise_rate=0.2)
+
+
+def _checked(section: str, doc: object, types: dict[str, tuple[type, ...]]) -> dict:
+    """doc itself, once it is an object whose every key has an accepted JSON type."""
+    if not isinstance(doc, dict):
+        raise SpecError(f"framework config {section or 'document'} must be a JSON object")
+    for key, value in doc.items():
+        name = f"{section}.{key}" if section else key
+        if key not in types:
+            raise SpecError(f"unknown framework config key {name!r}")
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            expected = " or ".join(_JSON_NAMES[t] for t in types[key])
+            raise SpecError(f"framework config key {name!r} must be {expected}, got {value!r}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -44,40 +85,23 @@ class FrameworkConfig:
     """Everything the pipeline needs, loadable from one JSON document.
 
     Secrets never live in the file; only the name of the environment variable
-    holding the API key does.
+    holding the API key does. The mock script holds the mock behavior and
+    noise rate; its truth and seed are filled in when the backend is built.
     """
 
     backend: str = "mock"
-    model_id: str = "gpt-4-class"
-    temperature: float = 0.2
-    token_limit: int = 8192
-    endpoint: str = ""
-    credentials_env: str = "CONFVAL_API_KEY"
-    request_timeout: float = 60.0
-    max_parallel: int = 4
-    num_queries: int = DEFAULT_NUM_QUERIES
-    shot_valid: int = DEFAULT_COMBINATION.valid_count
-    shot_misconfig: int = DEFAULT_COMBINATION.misconfig_count
-    strategy: str = SelectionStrategy.RANDOM.value
-    retry_bound: int = DEFAULT_RETRY_BOUND
-    seed: int = 0
+    backend_config: BackendConfig = BackendConfig()
+    settings: PipelineSettings = PipelineSettings()
     shot_db: str | None = None
-    question_template_path: str | None = None
-    mock_behavior: str = MockBehavior.ECHO_GROUND_TRUTH.value
-    mock_noise_rate: float = 0.2
+    mock: MockScript = _DEFAULT_MOCK
     mock_seed: int | None = None
     mock_truth_from: str | None = None
 
     def __post_init__(self):
         if self.backend not in ("mock", "http"):
             raise SpecError(f"backend must be 'mock' or 'http', got {self.backend!r}")
-        # build every derived object once, so a bad value fails at load time
-        try:
-            self.backend_config()
-            self._settings(DEFAULT_QUESTION_TEMPLATE, None)
-            MockScript(MockBehavior(self.mock_behavior), noise_rate=self.mock_noise_rate)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid framework config: {exc}") from exc
+        if self.backend == "http" and not self.backend_config.endpoint:
+            raise SpecError("backend 'http' needs an endpoint")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FrameworkConfig":
@@ -85,94 +109,68 @@ class FrameworkConfig:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError(f"cannot read framework config {path}: {exc}") from exc
-        shots = doc.pop("shots", None)
-        mock = doc.pop("mock", None)
-        doc.pop("schema_version", None)
-        kwargs = dict(doc)
-        if shots:
-            kwargs["shot_valid"] = shots.get("valid", DEFAULT_COMBINATION.valid_count)
-            kwargs["shot_misconfig"] = shots.get("misconfig", DEFAULT_COMBINATION.misconfig_count)
-        if mock:
-            kwargs["mock_behavior"] = mock.get("behavior", MockBehavior.ECHO_GROUND_TRUTH.value)
-            kwargs["mock_noise_rate"] = mock.get("noise_rate", 0.2)
-            kwargs["mock_seed"] = mock.get("seed")
-            kwargs["mock_truth_from"] = mock.get("truth_from")
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise SpecError(f"invalid framework config: {exc}") from exc
-
-    def backend_config(self) -> BackendConfig:
-        return BackendConfig(
-            model_id=self.model_id,
-            temperature=self.temperature,
-            token_limit=self.token_limit,
-            endpoint=self.endpoint,
-            credentials_env=self.credentials_env,
-            request_timeout=self.request_timeout,
-            max_parallel=self.max_parallel,
-        )
-
-    def pipeline_settings(self, seed: int | None = None) -> PipelineSettings:
+        _checked("", doc, _TOP_KEYS)
+        shots = _checked("shots", doc.get("shots", {}), _SHOTS_KEYS)
+        mock = _checked("mock", doc.get("mock", {}), _MOCK_KEYS)
         template = DEFAULT_QUESTION_TEMPLATE
-        if self.question_template_path:
+        if doc.get("question_template_path"):
             try:
-                template = Path(self.question_template_path).read_text(encoding="utf-8").strip()
+                template = Path(doc["question_template_path"]).read_text(encoding="utf-8").strip()
             except OSError as exc:
                 raise SpecError(f"cannot read question template: {exc}") from exc
-        return self._settings(template, seed)
+        try:
+            settings = PipelineSettings(
+                combination=ShotCombination(
+                    shots.get("valid", DEFAULT_COMBINATION.valid_count),
+                    shots.get("misconfig", DEFAULT_COMBINATION.misconfig_count),
+                ),
+                strategy=SelectionStrategy(doc.get("strategy", SelectionStrategy.RANDOM.value)),
+                question_template=template,
+                **{key: doc[key] for key in ("num_queries", "retry_bound", "seed") if key in doc},
+            )
+            return cls(
+                backend=doc.get("backend", "mock"),
+                backend_config=BackendConfig(**{k: doc[k] for k in _BACKEND_KEYS if k in doc}),
+                settings=settings,
+                shot_db=doc.get("shot_db"),
+                mock=MockScript(
+                    MockBehavior(mock.get("behavior", _DEFAULT_MOCK.behavior.value)),
+                    noise_rate=mock.get("noise_rate", _DEFAULT_MOCK.noise_rate),
+                ),
+                mock_seed=mock.get("seed"),
+                mock_truth_from=mock.get("truth_from"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"invalid framework config: {exc}") from exc
 
-    def _settings(self, template: str, seed: int | None) -> PipelineSettings:
-        return PipelineSettings(
-            num_queries=self.num_queries,
-            combination=ShotCombination(self.shot_valid, self.shot_misconfig),
-            strategy=SelectionStrategy(self.strategy),
-            retry_bound=self.retry_bound,
-            seed=self.seed if seed is None else seed,
-            question_template=template,
-        )
+    def pipeline_settings(self, seed: int | None = None) -> PipelineSettings:
+        """The settings, with the seed replaced when one is given."""
+        return self.settings if seed is None else replace(self.settings, seed=seed)
 
 
-def _load_datasets(root: Path) -> dict[str, DatasetSplit]:
-    manifests = sorted(root.glob("*/manifest.json"))
-    if not manifests and (root / "manifest.json").exists():
-        manifests = [root / "manifest.json"]
-    if not manifests:
-        raise ConfvalError(f"no dataset manifest found under {root}")
-    datasets: dict[str, DatasetSplit] = {}
-    for manifest in manifests:
-        project, split = load_dataset(manifest.parent)
-        datasets[project] = split
-    return datasets
+_CorpusLoader = Callable[[str], dict[str, DatasetSplit]]
 
 
-def _make_backend(cfg: FrameworkConfig, seed: int | None, truth_root: Path | None) -> Backend:
+def _corpus_loader() -> _CorpusLoader:
+    """load_corpus that reads each root once, however often a command asks for it."""
+    load = functools.cache(load_corpus)
+    return lambda root: load(Path(root))
+
+
+def _make_backend(
+    cfg: FrameworkConfig, settings: PipelineSettings, truth_root: str | None, load: _CorpusLoader
+) -> Backend:
     if cfg.backend == "http":
-        return HttpBackend(cfg.backend_config())
-    truth: dict[str, str] = {}
-    source = cfg.mock_truth_from or cfg.shot_db
-    if truth_root is not None:
-        source = str(truth_root)
-    if source:
-        datasets = _load_datasets(Path(source))
-        truth = truth_map(datasets.values())
-    effective_seed = cfg.mock_seed
-    if effective_seed is None:
-        effective_seed = cfg.seed if seed is None else seed
-    script = MockScript(
-        behavior=MockBehavior(cfg.mock_behavior),
-        truth=truth,
-        noise_rate=cfg.mock_noise_rate,
-        seed=effective_seed,
-    )
-    return MockBackend(script, cfg.backend_config())
+        return HttpBackend(cfg.backend_config)
+    source = truth_root or cfg.mock_truth_from or cfg.shot_db
+    truth = truth_map(load(source).values()) if source else {}
+    seed = settings.seed if cfg.mock_seed is None else cfg.mock_seed
+    return MockBackend(replace(cfg.mock, truth=truth, seed=seed), cfg.backend_config)
 
 
-def _shot_database(cfg: FrameworkConfig, fallback_root: Path | None) -> ShotDatabase:
-    source = cfg.shot_db or (str(fallback_root) if fallback_root else None)
-    if not source:
-        return ShotDatabase([])
-    return load_shot_db(Path(source))
+def _shot_database(cfg: FrameworkConfig, fallback_root: str | None, load: _CorpusLoader) -> ShotDatabase:
+    source = cfg.shot_db or fallback_root
+    return shot_db_from(load(source).values()) if source else ShotDatabase([])
 
 
 def _progress(message: str) -> None:
@@ -202,9 +200,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = FrameworkConfig.from_file(args.config)
         target = load_config_file(args.file, args.project, args.version)
-        backend = _make_backend(cfg, args.seed, None)
-        shot_db = _shot_database(cfg, None)
         settings = cfg.pipeline_settings(args.seed)
+        load = _corpus_loader()
+        backend = _make_backend(cfg, settings, None, load)
+        shot_db = _shot_database(cfg, None, load)
         verdict = validate_file(target, backend, shot_db, settings)
     except ConfvalError as exc:
         _progress(f"error: {exc}")
@@ -219,11 +218,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         cfg = FrameworkConfig.from_file(args.config)
-        dataset_root = Path(args.dataset)
-        datasets = _load_datasets(dataset_root)
-        backend = _make_backend(cfg, args.seed, dataset_root)
-        shot_db = _shot_database(cfg, dataset_root)
         settings = cfg.pipeline_settings(args.seed)
+        load = _corpus_loader()
+        datasets = load(args.dataset)
+        backend = _make_backend(cfg, settings, args.dataset, load)
+        shot_db = _shot_database(cfg, args.dataset, load)
         eval_total = sum(len(split.eval_set) for split in datasets.values())
         _progress(f"evaluating {eval_total} files from {len(datasets)} project(s)")
         if args.sweep:
@@ -252,23 +251,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
     """Table lines for a report or sweep document, plus the rebuilt report."""
-    if "sweep" in doc:
+    if isinstance(doc, dict) and "sweep" in doc:
         lines = [f"{'combination':<12} {'file F1':>8} {'param F1':>9} {'files':>6}"]
-        for label, report in sorted(doc["sweep"].items()):
-            macro = report["macro"]
+        for label, entry in sorted(doc["sweep"].items()):
+            report = MetricsReport.from_dict(entry)
             lines.append(
-                f"{label:<12} {macro['file']['f1']:>8.3f} "
-                f"{macro['parameter']['f1']:>9.3f} {report['files_scored']:>6}"
+                f"{label:<12} {report.macro['file']['f1']:>8.3f} "
+                f"{report.macro['parameter']['f1']:>9.3f} {report.files_scored:>6}"
             )
         return lines, None
-    report = MetricsReport(
-        per_project=doc["per_project"],
-        macro=doc["macro"],
-        micro_f1_subcategory=doc["micro_f1_by_subcategory"],
-        f1_by_param_count=doc["f1_by_param_count"],
-        files_scored=doc["files_scored"],
-        failures=tuple(doc.get("failures", ())),
-    )
+    report = MetricsReport.from_dict(doc)
     lines = [f"{'project':<16} {'level':<10} {'precision':>9} {'recall':>7} {'f1':>6}"]
     for project, levels in report.per_project.items():
         for level, metrics in levels.items():

@@ -142,8 +142,9 @@ _RANGED_KINDS = {
     ValueKind.PERMISSION,
 }
 
+_PORT_RANGE = (0, 65535)
 _KIND_RANGE_CAP = {
-    ValueKind.PORT: (0, 65535),
+    ValueKind.PORT: _PORT_RANGE,
     ValueKind.PERMISSION: (0, 777),
 }
 
@@ -338,21 +339,26 @@ def _syntax_detail(spec: ParameterSpec, value: str) -> str:
     return f"value {value!r} is not a well-formed {kind.value}"
 
 
-def _numeric_bounds(spec: ParameterSpec) -> tuple[float, float]:
+_KIND_BOUNDS = {
+    ValueKind.INTEGER: _INT32,
+    ValueKind.LONG: _INT64,
+    ValueKind.PORT: _PORT_RANGE,
+}
+_FLOAT_BOUNDS = (-_FLOAT_MAX, _FLOAT_MAX)
+
+
+def numeric_bounds(spec: ParameterSpec) -> tuple[float, float]:
+    """The range a numeric value must fall in: the spec's own, else its kind's."""
     if spec.numeric_range is not None:
         return spec.numeric_range
-    if spec.kind is ValueKind.INTEGER:
-        return _INT32
-    if spec.kind is ValueKind.LONG:
-        return _INT64
-    return (-_FLOAT_MAX, _FLOAT_MAX)
+    return _KIND_BOUNDS.get(spec.kind, _FLOAT_BOUNDS)
 
 
 def _range_violation(spec: ParameterSpec, value: str) -> str | None:
     kind = spec.kind
     if kind in (ValueKind.INTEGER, ValueKind.LONG, ValueKind.FLOAT):
         number = float(value) if kind is ValueKind.FLOAT else int(value)
-        lo, hi = _numeric_bounds(spec)
+        lo, hi = numeric_bounds(spec)
         if not (lo <= number <= hi):
             return f"value {value} is outside the valid range [{lo}, {hi}]"
         return None
@@ -373,7 +379,7 @@ def _range_violation(spec: ParameterSpec, value: str) -> str | None:
                 return f"octet {p} exceeds 255"
         return None
     if kind is ValueKind.PORT:
-        lo, hi = spec.numeric_range or (0, 65535)
+        lo, hi = numeric_bounds(spec)
         port = int(value)
         if not (lo <= port <= hi):
             return f"value {value} exceeds port range [{int(lo)}, {int(hi)}]"
@@ -493,20 +499,13 @@ def _version_violation(
     return None
 
 
-def oracle_validate(
-    file: ConfigFile,
-    specs: SpecSet,
-    version_changes: tuple[VersionChange, ...] | None = None,
-) -> list[Violation]:
+def oracle_validate(file: ConfigFile, specs: SpecSet) -> list[Violation]:
     """Return exactly the violations present in the file; [] means valid.
 
     Every entry must have a spec or appear in a version-change record;
     anything else raises UnknownParameterError.
     """
-    changes = specs.version_changes if version_changes is None else tuple(version_changes)
-    version_names = set()
-    for change in changes:
-        version_names |= change.removed_in_v2 | change.added_in_v2
+    version_names = specs.version_known_names()
 
     violations: list[Violation] = []
     flagged: set[str] = set()
@@ -516,7 +515,7 @@ def oracle_validate(
             raise UnknownParameterError(
                 f"no spec and no version record for parameter {entry.name!r}"
             )
-        v = _version_violation(entry.name, file.version, changes)
+        v = _version_violation(entry.name, file.version, specs.version_changes)
         if v is not None:
             violations.append(v)
             flagged.add(entry.name)

@@ -201,6 +201,17 @@ def _bucket_sort_key(label: str, edges: tuple[int, ...]) -> int:
     return len(edges)
 
 
+# the JSON type of each top-level report key; only failures may be absent
+_REPORT_TYPES = {
+    "per_project": dict,
+    "macro": dict,
+    "micro_f1_by_subcategory": dict,
+    "f1_by_param_count": dict,
+    "files_scored": int,
+    "failures": list,
+}
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     per_project: dict[str, dict[str, dict[str, float]]]
@@ -220,6 +231,25 @@ class MetricsReport:
             "files_scored": self.files_scored,
             "failures": list(self.failures),
         }
+
+    @classmethod
+    def from_dict(cls, doc: object) -> "MetricsReport":
+        """Inverse of to_dict. Raises KeyError for a missing key and
+        ValueError for a part of the wrong JSON type."""
+        if not isinstance(doc, dict):
+            raise ValueError("a report must be a JSON object")
+        doc = {"failures": [], **doc}
+        for key, kind in _REPORT_TYPES.items():
+            if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
+                raise ValueError(f"report key {key!r} must be a JSON {kind.__name__}")
+        return cls(
+            per_project=doc["per_project"],
+            macro=doc["macro"],
+            micro_f1_subcategory=doc["micro_f1_by_subcategory"],
+            f1_by_param_count=doc["f1_by_param_count"],
+            files_scored=doc["files_scored"],
+            failures=tuple(doc["failures"]),
+        )
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(

@@ -31,9 +31,9 @@ from .constraints import (
     SpecSet,
     Subcategory,
     ValueKind,
-    VersionChange,
     assign_subcategories,
     compare_values,
+    numeric_bounds,
     oracle_validate,
     value_violation,
 )
@@ -123,18 +123,6 @@ _BAD_PERMISSION = ("rwxr-xr-x", "75", "07555", "7a7")
 _BAD_OPTION_WORDS = ("yes", "no", "enabled", "disabled", "on", "off", "maybe")
 
 
-def _effective_bounds(spec: ParameterSpec) -> tuple[float, float]:
-    if spec.numeric_range is not None:
-        return spec.numeric_range
-    if spec.kind is ValueKind.INTEGER:
-        return (-(2**31), 2**31 - 1)
-    if spec.kind is ValueKind.LONG:
-        return (-(2**63), 2**63 - 1)
-    if spec.kind is ValueKind.PORT:
-        return (0, 65535)
-    return (-1e9, 1e9)
-
-
 def _plausible_window(lo: float, hi: float) -> tuple[float, float]:
     # huge data-type ranges make poor sample spaces; prefer a human-scale slice
     wlo, whi = max(lo, 0.0), min(hi, 1e6)
@@ -157,10 +145,10 @@ def _draw_valid(spec: ParameterSpec, rng: random.Random) -> str | None:
         return spec.default_value
     kind = spec.kind
     if kind in (ValueKind.INTEGER, ValueKind.LONG, ValueKind.PORT):
-        lo, hi = _plausible_window(*_effective_bounds(spec))
+        lo, hi = _plausible_window(*numeric_bounds(spec))
         return str(rng.randint(int(lo), int(hi)))
     if kind is ValueKind.FLOAT:
-        lo, hi = _plausible_window(*_effective_bounds(spec))
+        lo, hi = _plausible_window(*numeric_bounds(spec))
         return f"{rng.uniform(lo, hi):.6g}"
     if kind is ValueKind.BOOLEAN:
         return rng.choice(("true", "false"))
@@ -205,7 +193,7 @@ def _invalid_candidates(
     if subcat is Subcategory.SYNTAX_PERMISSION:
         return list(_BAD_PERMISSION)
     if subcat is Subcategory.RANGE_NUMERIC:
-        lo, hi = _effective_bounds(spec)
+        lo, hi = numeric_bounds(spec)
         if kind is ValueKind.FLOAT:
             if spec.numeric_range is None:
                 return ["1e400", "-1e400"]
@@ -221,7 +209,7 @@ def _invalid_candidates(
         octets[rng.randrange(4)] = str(rng.randint(256, 999))
         return [fixed, ".".join(octets)]
     if subcat is Subcategory.RANGE_PORT:
-        lo, hi = spec.numeric_range or (0, 65535)
+        lo, hi = numeric_bounds(spec)
         out = [str(rng.randint(int(hi) + 1, 99999))]
         if lo > 0:
             out.append(str(int(lo) - 1))
@@ -275,7 +263,7 @@ def ground_truth_reason(subcat: Subcategory, parameter: str, value: str, specs: 
     if subcat is Subcategory.SYNTAX_PERMISSION:
         return f"value '{value}' of '{parameter}' is not a three-digit permission"
     if subcat is Subcategory.RANGE_NUMERIC:
-        lo, hi = _effective_bounds(spec)
+        lo, hi = numeric_bounds(spec)
         return f"value {value} of '{parameter}' is outside the valid range [{lo:g}, {hi:g}]"
     if subcat is Subcategory.RANGE_BOOL:
         return f"value '{value}' of '{parameter}' must be true or false"
@@ -284,7 +272,7 @@ def ground_truth_reason(subcat: Subcategory, parameter: str, value: str, specs: 
     if subcat is Subcategory.RANGE_IP_ADDRESS:
         return f"value '{value}' of '{parameter}' has an octet outside [0, 255]"
     if subcat is Subcategory.RANGE_PORT:
-        lo, hi = (spec.numeric_range if spec and spec.numeric_range else (0, 65535))
+        lo, hi = numeric_bounds(spec)
         return f"value {value} exceeds port range [{int(lo)}, {int(hi)}]"
     if subcat is Subcategory.RANGE_PERMISSION:
         return f"value {value} of '{parameter}' is outside the permission range [000, 777]"
@@ -327,8 +315,8 @@ def _ordered_pair(
     the windows make the relation unsatisfiable."""
     if spec1.kind not in _NUMERIC_KINDS or spec2.kind not in _NUMERIC_KINDS:
         return None
-    lo1, hi1 = map(float, _plausible_window(*_effective_bounds(spec1)))
-    lo2, hi2 = map(float, _plausible_window(*_effective_bounds(spec2)))
+    lo1, hi1 = map(float, _plausible_window(*numeric_bounds(spec1)))
+    lo2, hi2 = map(float, _plausible_window(*numeric_bounds(spec2)))
     integral = spec1.kind is not ValueKind.FLOAT and spec2.kind is not ValueKind.FLOAT
     step = 1.0 if integral else max(abs(hi1), abs(hi2), 1.0) * 1e-4
 
@@ -395,31 +383,6 @@ def _solve_pair(
     raise GenerationError(
         f"cannot {'violate' if violate else 'satisfy'} relation {c} over the value domain"
     )
-
-
-def inject_dependency_misconfig(
-    c: DependencyConstraint, file: ConfigFile, specs: SpecSet, rng: random.Random
-) -> LabeledFile:
-    """Rewrite both constraint parameters in the file so that the constraint
-    is the file's only violation."""
-    flagged = c.p2 if c.kind is DependencyKind.CONTROL else c.p1
-    subcat = (
-        Subcategory.DEPENDENCY_CONTROL
-        if c.kind is DependencyKind.CONTROL
-        else Subcategory.DEPENDENCY_VALUE_RELATIONSHIP
-    )
-    for _ in range(MAX_ATTEMPTS):
-        pair = _solve_pair(c, specs, rng, violate=True)
-        entries = [e for e in file.entries if e.name not in pair]
-        for name, value in pair.items():
-            spec = specs.parameters[name]
-            entries.append(ConfigEntry(name, value, spec.description))
-        candidate = ConfigFile(file.project, file.version, file.format, tuple(entries))
-        found = oracle_validate(candidate, specs)
-        if len(found) == 1 and found[0].parameter == flagged and found[0].subcategory is subcat:
-            fault = InjectedFault(flagged, subcat, _dependency_reason(c))
-            return LabeledFile(candidate, Label.MISCONFIG, fault, bucket=subcat)
-    raise GenerationError(f"constraint {c} unsatisfiable as a single-fault injection")
 
 
 # --- dataset construction ---
@@ -578,7 +541,6 @@ class _FileBuilder:
 
 def build_dataset(
     specs: SpecSet,
-    version_changes: tuple[VersionChange, ...] | None = None,
     rng: random.Random | int = 0,
     entries_per_file: int = ENTRIES_PER_FILE,
 ) -> DatasetSplit:
@@ -591,15 +553,6 @@ def build_dataset(
     """
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    if version_changes is not None:
-        specs = SpecSet(
-            project=specs.project,
-            version=specs.version,
-            file_format=specs.file_format,
-            parameters=specs.parameters,
-            dependencies=specs.dependencies,
-            version_changes=tuple(version_changes),
-        )
     builder = _FileBuilder(specs, rng, entries_per_file)
     eligible = _eligible_by_subcategory(specs)
 

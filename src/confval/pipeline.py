@@ -8,8 +8,9 @@ of the response multiset.
 
 Rejected or unparseable completions are discarded and re-queried in rounds:
 round k re-issues one query for every slot that failed round k-1, up to the
-retry bound. Pooled voting makes the verdict independent of which thread
-served which slot, so parallel backends stay reproducible.
+retry bound. The vote counts a pool of answers and the reasons are clustered
+in sorted order, so neither depends on which thread served which slot, and
+parallel backends stay reproducible.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def _reasons_for_key(
     For each parameter, the reasons paired with it across winning-key
     responses are clustered by TF-IDF cosine; the dominant cluster's medoid
     speaks for the parameter. Hallucinated stragglers land in small clusters
-    and are never chosen.
+    and are never chosen. The reasons are clustered in sorted order, so a tie
+    between equal clusters does not depend on the order the answers came in.
     """
     winners = [r for r in responses if r.canonical_key() == key]
     selected = []
@@ -116,7 +118,7 @@ def _reasons_for_key(
                 if name == parameter:
                     pool.append(reason)
         if pool:
-            selected.append(dominant_representative(pool))
+            selected.append(dominant_representative(sorted(pool)))
     return selected
 
 

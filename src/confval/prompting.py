@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .config_model import ConfigFile, compress, frozen_cached_property, render_config
-from .errors import InsufficientShotsError, TokenBudgetExceededError
-from .misconfig_gen import Label, LabeledFile, load_dataset
+from .errors import ConfvalError, InsufficientShotsError, TokenBudgetExceededError
+from .misconfig_gen import MANIFEST_NAME, DatasetSplit, Label, LabeledFile, load_dataset
 from .responses import ValidationResponse, misconfig_answer, valid_answer
 from .textsim import rank_by_similarity
 
@@ -73,12 +73,15 @@ class Shot:
         return self.ground_truth_answer.to_json()
 
 
-def shot_from_labeled(labeled: LabeledFile) -> Shot:
+def labeled_answer(labeled: LabeledFile) -> ValidationResponse:
+    """The answer a labeled file should get: its shot answer and the echo mock's reply."""
     if labeled.label is Label.VALID:
-        answer = valid_answer()
-    else:
-        answer = misconfig_answer(labeled.injected.parameter, labeled.injected.reason)
-    return Shot(labeled, answer, labeled.file.project)
+        return valid_answer()
+    return misconfig_answer(labeled.injected.parameter, labeled.injected.reason)
+
+
+def shot_from_labeled(labeled: LabeledFile) -> Shot:
+    return Shot(labeled, labeled_answer(labeled), labeled.file.project)
 
 
 @dataclass(frozen=True)
@@ -139,17 +142,28 @@ class ShotDatabase:
         return out
 
 
+def load_corpus(dataset_root: str | Path) -> dict[str, DatasetSplit]:
+    """Every project corpus under a dataset root (or the root's own), by project.
+
+    Raises ConfvalError when the root holds no manifest.
+    """
+    root = Path(dataset_root)
+    manifests = sorted(root.glob(f"*/{MANIFEST_NAME}"))
+    if not manifests and (root / MANIFEST_NAME).exists():
+        manifests = [root / MANIFEST_NAME]
+    if not manifests:
+        raise ConfvalError(f"no dataset manifest found under {root}")
+    return dict(load_dataset(manifest.parent) for manifest in manifests)
+
+
+def shot_db_from(splits: Iterable[DatasetSplit]) -> ShotDatabase:
+    """The database of every shot-pool file in the given corpora."""
+    return ShotDatabase(shot_from_labeled(lf) for split in splits for lf in split.shot_pool)
+
+
 def load_shot_db(dataset_root: str | Path) -> ShotDatabase:
     """Build the database from every project corpus under a dataset root."""
-    root = Path(dataset_root)
-    shots: list[Shot] = []
-    manifests = sorted(root.glob("*/manifest.json"))
-    if not manifests and (root / "manifest.json").exists():
-        manifests = [root / "manifest.json"]
-    for manifest in manifests:
-        _, split = load_dataset(manifest.parent)
-        shots.extend(shot_from_labeled(lf) for lf in split.shot_pool)
-    return ShotDatabase(shots)
+    return shot_db_from(load_corpus(dataset_root).values())
 
 
 def _take(

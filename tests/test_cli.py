@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import confval
+import confval.cli
+import confval.misconfig_gen
+import confval.prompting
 from confval.cli import main
 from confval.constraints import ValueKind, save_spec_set
 from confval.misconfig_gen import Label
@@ -307,6 +314,26 @@ class TestExitCodeContract:
         result = self._evaluate(workspace)
         self._assert_operational_error(result, "malformed dataset manifest")
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"shots": 5}, "shots"),
+            ({"mock": "x"}, "mock"),
+            ({"max_parallel": 1.5}, "max_parallel"),
+            ({"shot_db": 5}, "shot_db"),
+            ({"seed": "abc"}, "seed"),
+        ],
+    )
+    def test_config_value_of_wrong_json_type(self, workspace, overrides, key):
+        result = self._evaluate(workspace, **overrides)
+        self._assert_operational_error(result, key)
+
+    def test_config_document_not_an_object(self, workspace):
+        config = workspace["tmp"] / "confval.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        result = run_cli("evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config))
+        self._assert_operational_error(result, "must be a JSON object")
+
     def test_report_without_per_project(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"schema_version": 1}), encoding="utf-8")
@@ -325,8 +352,8 @@ class TestFrameworkConfig:
         from confval.cli import FrameworkConfig
 
         cfg = FrameworkConfig.from_file(write_config(tmp_path, num_queries=10))
-        assert cfg.num_queries == 10
-        assert cfg.temperature == 0.2
+        assert cfg.settings.num_queries == 10
+        assert cfg.backend_config.temperature == 0.2
         settings = cfg.pipeline_settings()
         assert settings.combination.valid_count == 1
         assert settings.combination.misconfig_count == 3
@@ -350,3 +377,177 @@ class TestFrameworkConfig:
 
         with pytest.raises(SpecError):
             FrameworkConfig.from_file(write_config(tmp_path, backend="quantum"))
+
+    def test_http_backend_needs_an_endpoint(self, tmp_path):
+        from confval.cli import FrameworkConfig
+        from confval.errors import SpecError
+
+        with pytest.raises(SpecError, match="endpoint"):
+            FrameworkConfig.from_file(write_config(tmp_path, backend="http"))
+
+
+class TestCorpusLoading:
+    def test_evaluate_reads_each_project_once(self, workspace, monkeypatch, capsys):
+        spec_path = workspace["tmp"] / "spec2.json"
+        save_spec_set(demo_spec_set("clitest2", "1.0.0", counts=SMALL_COUNTS), spec_path)
+        dataset = workspace["dataset"]
+        assert main(["gen-dataset", "--spec", str(spec_path), "--out", str(dataset), "--seed", "6"]) == 0
+        calls = []
+        original = confval.misconfig_gen.load_dataset
+
+        def counting(project_dir):
+            calls.append(Path(project_dir).name)
+            return original(project_dir)
+
+        # every module that holds the name, wherever the loader is called from
+        for module in (confval.cli, confval.misconfig_gen, confval.prompting):
+            if hasattr(module, "load_dataset"):
+                monkeypatch.setattr(module, "load_dataset", counting)
+        # the shot database and the mock's truth name the same root, spelt differently
+        config = write_config(
+            workspace["tmp"],
+            shot_db=f"{dataset}/",
+            mock={"behavior": "echo_ground_truth", "truth_from": str(dataset)},
+        )
+        code = main(["evaluate", "--dataset", str(dataset), "--config", str(config)])
+        capsys.readouterr()
+        assert code == 0
+        assert sorted(calls) == ["clitest", "clitest2"]
+
+
+# --- the boundary promise: a malformed document exits 2 with a named error ---
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "integer": st.integers(),
+    "number": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=8),
+    "array": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+}
+NUMBER = {"integer", "number"}
+# the JSON kinds each key of the README config accepts (a bool is no number)
+ACCEPTED = {
+    ("backend",): {"string"},
+    ("model_id",): {"string"},
+    ("temperature",): NUMBER,
+    ("token_limit",): {"integer"},
+    ("endpoint",): {"string"},
+    ("credentials_env",): {"string"},
+    ("max_parallel",): {"integer"},
+    ("num_queries",): {"integer"},
+    ("shots",): {"object"},
+    ("shots", "valid"): {"integer"},
+    ("shots", "misconfig"): {"integer"},
+    ("strategy",): {"string"},
+    ("retry_bound",): {"integer"},
+    ("seed",): {"integer"},
+    ("shot_db",): {"string", "null"},
+    ("question_template_path",): {"string", "null"},
+    ("mock",): {"object"},
+    ("mock", "behavior"): {"string"},
+    ("mock", "noise_rate"): NUMBER,
+    ("mock", "seed"): {"integer", "null"},
+    ("mock", "truth_from"): {"string", "null"},
+}
+NON_OBJECT = st.one_of(*(strategy for kind, strategy in JSON_KINDS.items() if kind != "object"))
+REPORT_KEYS = ("per_project", "macro", "micro_f1_by_subcategory", "f1_by_param_count", "files_scored")
+REPORT_SECTIONS = REPORT_KEYS[:4]
+
+
+def readme_config() -> dict:
+    section = README.read_text(encoding="utf-8").split("### Framework config", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@st.composite
+def wrongly_typed_config(draw):
+    doc = readme_config()
+    path = draw(st.sampled_from(sorted(ACCEPTED)))
+    kind = draw(st.sampled_from(sorted(set(JSON_KINDS) - ACCEPTED[path])))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(JSON_KINDS[kind])
+    return doc
+
+
+def run_main(*argv) -> tuple[int, str]:
+    """main() in this process: the exit code and stderr; any exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def readme_workspace(tmp_path_factory):
+    """A corpus at ./dataset, where the README config looks for it, and a valid
+    report.json made from it."""
+    root = tmp_path_factory.mktemp("readme")
+    spec_path = root / "spec.json"
+    save_spec_set(demo_spec_set("readme", "1.0.0", counts=SMALL_COUNTS), spec_path)
+    dataset = root / "dataset"
+    code, _ = run_main("gen-dataset", "--spec", str(spec_path), "--out", str(dataset))
+    assert code == 0
+    config = write_config(root, mock={"behavior": "echo_ground_truth"})
+    code, _ = run_main(
+        "evaluate", "--dataset", str(dataset), "--config", str(config),
+        "--report", str(root / "report.json"),
+    )
+    assert code == 0
+    return root
+
+
+class TestBoundaryFuzz:
+    fuzz = settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    def _evaluate(self, doc) -> tuple[int, str]:
+        Path("confval.json").write_text(json.dumps(doc), encoding="utf-8")
+        return run_main("evaluate", "--dataset", "dataset", "--config", "confval.json")
+
+    def _report(self, mutate) -> tuple[int, str]:
+        doc = json.loads(Path("report.json").read_text(encoding="utf-8"))
+        Path("mutated.json").write_text(json.dumps(mutate(doc)), encoding="utf-8")
+        return run_main("report", "--report", "mutated.json")
+
+    def test_table_covers_the_readme_config(self):
+        doc = readme_config()
+        paths = {(key,) for key in doc}
+        paths |= {(key, inner) for key in ("shots", "mock") for inner in doc[key]}
+        assert paths == set(ACCEPTED)
+
+    def test_unmutated_documents_succeed(self, readme_workspace, monkeypatch):
+        monkeypatch.chdir(readme_workspace)
+        assert self._evaluate(readme_config())[0] == 0
+        assert self._report(lambda doc: doc)[0] == 0
+
+    @fuzz
+    @given(st.one_of(wrongly_typed_config(), NON_OBJECT))
+    def test_wrongly_typed_config_exits_two(self, readme_workspace, monkeypatch, doc):
+        monkeypatch.chdir(readme_workspace)
+        code, err = self._evaluate(doc)
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("key", REPORT_KEYS)
+    def test_report_without_required_key_exits_two(self, readme_workspace, monkeypatch, key):
+        monkeypatch.chdir(readme_workspace)
+        code, err = self._report(lambda doc: {k: v for k, v in doc.items() if k != key})
+        assert code == 2
+        assert "error:" in err
+
+    @fuzz
+    @given(st.sampled_from(REPORT_SECTIONS), NON_OBJECT)
+    def test_report_section_not_an_object_exits_two(
+        self, readme_workspace, monkeypatch, key, value
+    ):
+        monkeypatch.chdir(readme_workspace)
+        code, err = self._report(lambda doc: {**doc, key: value})
+        assert code == 2
+        assert "error:" in err

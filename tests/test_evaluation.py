@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from confval.evaluation import (
     Cell,
     ConfusionMatrix,
     Level,
+    MetricsReport,
     bucket_by_param_count,
     bucket_label,
     build_report,
@@ -182,6 +184,24 @@ class TestAggregation:
         assert micro[Subcategory.RANGE_PORT.value] == pytest.approx(f1(pooled))
         per_project_mean = (1.0 + 0.0) / 2
         assert micro[Subcategory.RANGE_PORT.value] != per_project_mean
+
+    def test_report_round_trips_through_json(self):
+        report = build_report(self._scored(), failures=[{"project": "alpha", "error": "x"}])
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert MetricsReport.from_dict(doc) == report
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: [doc],
+            lambda doc: {**doc, "files_scored": True},
+            lambda doc: {**doc, "failures": {}},
+        ],
+    )
+    def test_from_dict_names_a_malformed_document(self, mutate):
+        doc = build_report(self._scored()).to_dict()
+        with pytest.raises(ValueError, match="must be a JSON"):
+            MetricsReport.from_dict(mutate(doc))
 
     def test_empty_subcategory_absent(self):
         truth = labeled_file()

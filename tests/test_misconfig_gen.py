@@ -1,9 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
-from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
+from confval.config_model import ConfigFormat
 from confval.constraints import (
     Comparator,
     DependencyConstraint,
@@ -22,7 +23,8 @@ from confval.misconfig_gen import (
     build_dataset,
     generate_invalid_value,
     generate_valid_value,
-    inject_dependency_misconfig,
+    _FileBuilder,
+    ground_truth_reason,
     load_dataset,
     write_dataset,
 )
@@ -78,6 +80,14 @@ class TestGenerateInvalid:
             for s in range(20)
         }
         assert "2147483648" in outputs  # one past the 32-bit maximum
+
+    def test_unranged_float_reason_quotes_the_oracle_range(self):
+        parameter = spec(ValueKind.FLOAT)
+        specs = build_spec_set("demo", "1.0", ConfigFormat.XML, [parameter])
+        value = generate_invalid_value(parameter, Subcategory.RANGE_NUMERIC, random.Random(0))
+        assert value_violation(parameter, value).subcategory is Subcategory.RANGE_NUMERIC
+        reason = ground_truth_reason(Subcategory.RANGE_NUMERIC, parameter.name, value, specs)
+        assert f"[{-sys.float_info.max:g}, {sys.float_info.max:g}]" in reason
 
     def test_unit_misuse_literal(self):
         unit_spec = spec(ValueKind.NUMBER_WITH_UNIT, units=("kb", "mb"))
@@ -147,17 +157,15 @@ class TestInjectDependency:
         ]
         return build_spec_set("demo", "1.0", ConfigFormat.XML, params, deps)
 
-    def _base(self, specs):
-        entries = tuple(
-            ConfigEntry(name, parameter.default_value)
-            for name, parameter in specs.parameters.items()
-        )
-        return ConfigFile("demo", "1.0", ConfigFormat.XML, entries)
+    def _inject(self, specs, subcat, parameter, seed):
+        # every parameter has a dependency, so no companions pad the pair
+        builder = _FileBuilder(specs, random.Random(seed), entries_per_file=2)
+        return builder.misconfig_file(subcat, parameter)
 
     def test_relation_violation_lands_on_p1(self):
         specs = self._specs()
-        labeled = inject_dependency_misconfig(
-            specs.dependencies[0], self._base(specs), specs, random.Random(3)
+        labeled = self._inject(
+            specs, Subcategory.DEPENDENCY_VALUE_RELATIONSHIP, "demo.low", seed=3
         )
         assert labeled.injected.parameter == "demo.low"
         found = oracle_validate(labeled.file, specs)
@@ -166,9 +174,7 @@ class TestInjectDependency:
 
     def test_control_violation_lands_on_gated_parameter(self):
         specs = self._specs()
-        labeled = inject_dependency_misconfig(
-            specs.dependencies[1], self._base(specs), specs, random.Random(3)
-        )
+        labeled = self._inject(specs, Subcategory.DEPENDENCY_CONTROL, "demo.gated", seed=3)
         assert labeled.injected.parameter == "demo.gated"
         assert labeled.file.get("demo.flag").value == "false"
         found = oracle_validate(labeled.file, specs)
@@ -176,8 +182,8 @@ class TestInjectDependency:
 
     def test_equality_constraint_broken_by_offset(self):
         specs = self._specs(Comparator.EQ)
-        labeled = inject_dependency_misconfig(
-            specs.dependencies[0], self._base(specs), specs, random.Random(5)
+        labeled = self._inject(
+            specs, Subcategory.DEPENDENCY_VALUE_RELATIONSHIP, "demo.low", seed=5
         )
         v1 = labeled.file.get("demo.low").value
         v2 = labeled.file.get("demo.high").value

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -106,6 +107,13 @@ class TestSelectReasons:
         verdict = vote(responses)
         assert verdict.canonical_key == (True, ("a", "b"))
         assert verdict.reasons == ("a is broken", "b is broken")
+
+    def test_tied_reason_clusters_ignore_response_order(self):
+        # a 2-2 split between dissimilar reasons: two clusters of equal size
+        a = ValidationResponse(True, ("p",), ("port exceeds range",))
+        b = ValidationResponse(True, ("p",), ("value is not numeric",))
+        chosen = {vote(list(order)).reasons for order in itertools.permutations([a, a, b, b])}
+        assert len(chosen) == 1
 
     def test_only_winning_key_responses_contribute(self):
         winners = [ValidationResponse(True, ("a",), ("real reason",))] * 3
