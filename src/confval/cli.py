@@ -54,6 +54,7 @@ _TOP_KEYS = {
     "strategy": (str,),
     "retry_bound": (int,),
     "seed": (int,),
+    "early_stop": (bool,),
     "shots": (dict,),
     "shot_db": _PATH,
     "question_template_path": _PATH,
@@ -62,7 +63,9 @@ _TOP_KEYS = {
 }
 _SHOTS_KEYS = {"valid": (int,), "misconfig": (int,)}
 _MOCK_KEYS = {"behavior": (str,), "noise_rate": _NUMBER, "seed": (int, type(None)), "truth_from": _PATH}
-_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object", type(None): "null"}
+_JSON_NAMES = {
+    bool: "boolean", int: "integer", float: "number", str: "string", dict: "object", type(None): "null"
+}
 _DEFAULT_MOCK = MockScript(noise_rate=0.2)
 
 
@@ -74,7 +77,7 @@ def _checked(section: str, doc: object, types: dict[str, tuple[type, ...]]) -> d
         name = f"{section}.{key}" if section else key
         if key not in types:
             raise SpecError(f"unknown framework config key {name!r}")
-        if isinstance(value, bool) or not isinstance(value, types[key]):
+        if not isinstance(value, types[key]) or (isinstance(value, bool) and bool not in types[key]):
             expected = " or ".join(_JSON_NAMES[t] for t in types[key])
             raise SpecError(f"framework config key {name!r} must be {expected}, got {value!r}")
     return doc
@@ -126,7 +129,11 @@ class FrameworkConfig:
                 ),
                 strategy=SelectionStrategy(doc.get("strategy", SelectionStrategy.RANDOM.value)),
                 question_template=template,
-                **{key: doc[key] for key in ("num_queries", "retry_bound", "seed") if key in doc},
+                **{
+                    key: doc[key]
+                    for key in ("num_queries", "retry_bound", "seed", "early_stop")
+                    if key in doc
+                },
             )
             return cls(
                 backend=doc.get("backend", "mock"),
@@ -182,7 +189,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
         specs = load_spec_set(args.spec)
         split = build_dataset(specs, rng=random.Random(args.seed))
         project_dir = write_dataset(split, args.out, specs)
-    except ConfvalError as exc:
+    except (ConfvalError, OSError) as exc:
         _progress(f"error: {exc}")
         return 2
     counts: dict[str, dict[str, int]] = {}
@@ -205,10 +212,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         backend = _make_backend(cfg, settings, None, load)
         shot_db = _shot_database(cfg, None, load)
         verdict = validate_file(target, backend, shot_db, settings)
-    except ConfvalError as exc:
-        _progress(f"error: {exc}")
-        return 2
-    except OSError as exc:
+    except (ConfvalError, OSError) as exc:
         _progress(f"error: {exc}")
         return 2
     print(json.dumps(verdict.to_report(str(args.file)), indent=2, sort_keys=True))
@@ -238,13 +242,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             report = run_evaluation(datasets, backend, shot_db, settings, jobs=args.jobs)
             doc = report.to_dict()
             systemic = report.files_scored == 0
-    except ConfvalError as exc:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if args.report:
+            Path(args.report).write_text(text + "\n", encoding="utf-8")
+            _progress(f"report written to {args.report}")
+    except (ConfvalError, OSError) as exc:
         _progress(f"error: {exc}")
         return 2
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.report:
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
-        _progress(f"report written to {args.report}")
     print(text)
     return 2 if systemic else 0
 
@@ -287,13 +291,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         _progress(f"error: malformed report {args.report}: {exc!r}")
         return 2
-    print("\n".join(lines))
     if tables:
         out_dir = Path(args.csv)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in tables.items():
-            (out_dir / f"{name}.csv").write_text(text, encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, text in tables.items():
+                (out_dir / f"{name}.csv").write_text(text, encoding="utf-8")
+        except OSError as exc:
+            _progress(f"error: {exc}")
+            return 2
         _progress(f"CSV tables written to {out_dir}")
+    print("\n".join(lines))
     return 0
 
 

@@ -6,11 +6,21 @@ the answer flagging fewer parameters (fewer false alarms), then the
 lexicographically smallest parameter list, so the verdict is a pure function
 of the response multiset.
 
-Rejected or unparseable completions are discarded and re-queried in rounds:
-round k re-issues one query for every slot that failed round k-1, up to the
-retry bound. The vote counts a pool of answers and the reasons are clustered
-in sorted order, so neither depends on which thread served which slot, and
-parallel backends stay reproducible.
+A file has num_queries slots, each allowed retry_bound + 1 attempts. A
+rejected or unparseable completion is discarded and its slot waits for a
+retry; a slot is lost on a BackendError or when its attempts run out. Slots
+are queried in settling waves: each wave is at most the fewest open slots
+whose answers could settle the vote, and querying stops once the leading key has
+more votes than the runner-up plus every open slot, so no remaining answer
+could change or tie the winner. Every first attempt goes before any retry,
+and every k-th before any (k+1)-th, which is the order of the paper's fixed
+rounds (every open slot at once, as with early_stop off); so an
+early-stopped run makes a prefix of that run's calls and, with answers that
+depend only on the call's position, votes for the same key.
+
+The vote counts a pool of answers and the reasons are clustered in sorted
+order, so neither depends on which thread served which slot, and parallel
+backends stay reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .backend import Backend, query_batch
 from .config_model import ConfigDiff, ConfigFile, diff_to_snippet
@@ -80,11 +90,21 @@ class Verdict:
         }
 
 
-def vote(responses: list[ValidationResponse]) -> Verdict:
-    """Frequency voting over canonical keys, order independent."""
+def vote(
+    responses: list[ValidationResponse],
+    tally: Counter | None = None,
+    *,
+    discarded_count: int = 0,
+    target_key: str = "",
+) -> Verdict:
+    """Frequency voting over canonical keys, order independent.
+
+    tally is Counter(r.canonical_key() for r in responses); a caller that
+    counted the answers as they came passes its own instead of a recount.
+    """
     if not responses:
         raise ValueError("cannot vote over zero responses")
-    counts = Counter(r.canonical_key() for r in responses)
+    counts = Counter(r.canonical_key() for r in responses) if tally is None else tally
     best = max(counts.values())
     tied = [key for key, count in counts.items() if count == best]
     winner = min(tied, key=lambda key: (len(key[1]), key[1]))
@@ -95,6 +115,8 @@ def vote(responses: list[ValidationResponse]) -> Verdict:
         total_votes=len(responses),
         reasons=reasons,
         all_responses=tuple(responses),
+        discarded_count=discarded_count,
+        target_key=target_key,
     )
 
 
@@ -133,12 +155,29 @@ class PipelineSettings:
     seed: int = 0
     question_template: str = DEFAULT_QUESTION_TEMPLATE
     estimator: TokenEstimator = field(default=estimate_tokens)
+    early_stop: bool = True
 
     def __post_init__(self):
         if self.num_queries < 1:
             raise ValueError("num_queries must be at least 1")
         if self.retry_bound < 0:
             raise ValueError("retry_bound must be non-negative")
+
+
+def _settling_wave(tally: Counter, open_slots: int) -> int:
+    """How many open slots to query next; 0 once the vote is settled.
+
+    The vote is settled when the leader has more votes than the runner-up
+    plus every open slot: the inequality is strict, so not even the tie-break
+    can change the winner. Fewer than the returned number of further accepted
+    answers could not settle it, whatever they are.
+    """
+    top = tally.most_common(2)
+    leader = top[0][1] if top else 0
+    runner_up = top[1][1] if len(top) > 1 else 0
+    if leader > runner_up + open_slots:
+        return 0
+    return min(open_slots, (runner_up + open_slots - leader) // 2 + 1)
 
 
 def _target_rng(seed: int, content_key: str) -> random.Random:
@@ -155,10 +194,12 @@ def validate_file(
 ) -> Verdict:
     """Full pipeline: shots, prompt, budget, queries, filter, vote.
 
-    Shot selection is seeded per target content, so results do not depend on
-    evaluation order. Raises TokenBudgetExceededError when the target cannot
-    fit and ValidationFailedError when no slot ever yields an accepted
-    response.
+    With settings.early_stop (the default) the queries go out in settling
+    waves and stop once the vote is settled; without it every slot is
+    queried, as in the paper's fixed num_queries. Shot selection is seeded
+    per target content, so results do not depend on evaluation order. Raises
+    TokenBudgetExceededError when the target cannot fit and
+    ValidationFailedError when no slot ever yields an accepted response.
     """
     if isinstance(target, ConfigDiff):
         target = diff_to_snippet(target)
@@ -176,34 +217,38 @@ def validate_file(
     prompt = fit_to_budget(prompt, backend.config.token_limit, settings.estimator)
 
     accepted: list[ValidationResponse] = []
+    tally: Counter = Counter()
     discarded = 0
     backend_failures = 0
-    pending = settings.num_queries
-    for _round in range(settings.retry_bound + 1):
-        if pending == 0:
+    # open slots by the attempt they make next; a wave takes slots of one
+    # attempt only, so which thread's call served which slot cannot matter
+    waiting = [settings.num_queries] + [0] * settings.retry_bound
+    while open_slots := sum(waiting):
+        wave = _settling_wave(tally, open_slots) if settings.early_stop else open_slots
+        if wave == 0:
             break
-        results = query_batch(backend, prompt, pending)
-        pending = 0
-        for result in results:
+        attempt = next(a for a, count in enumerate(waiting) if count)
+        wave = min(wave, waiting[attempt])
+        waiting[attempt] -= wave
+        for result in query_batch(backend, prompt, wave):
             if isinstance(result, BackendError):
                 backend_failures += 1
                 continue
             try:
                 parsed = parse_response(result)
             except ResponseFormatError:
-                discarded += 1
-                pending += 1
-                continue
-            if validate_response(parsed) is None:
+                parsed = None
+            if parsed is not None and validate_response(parsed) is None:
                 accepted.append(parsed)
-            else:
-                discarded += 1
-                pending += 1
+                tally[parsed.canonical_key()] += 1
+                continue
+            discarded += 1
+            if attempt < settings.retry_bound:
+                waiting[attempt + 1] += 1
 
     if not accepted:
         raise ValidationFailedError(
             f"no accepted response after {settings.num_queries} slots "
             f"({discarded} discarded, {backend_failures} backend failures)"
         )
-    verdict = vote(accepted)
-    return replace(verdict, discarded_count=discarded, target_key=target.content_key())
+    return vote(accepted, tally, discarded_count=discarded, target_key=target.content_key())

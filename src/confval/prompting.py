@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .config_model import ConfigFile, compress, frozen_cached_property, render_config
 from .errors import ConfvalError, InsufficientShotsError, TokenBudgetExceededError
@@ -127,6 +127,16 @@ class ShotDatabase:
                 shot.source_project, {Label.VALID: [], Label.MISCONFIG: []}
             )
             slot[shot.label].append(shot)
+        # every other project's shots in project order, built once rather than
+        # per file; None keys the pools for a project with no shots here
+        names = self.projects()
+        self._others = {
+            (project, label): tuple(
+                shot for name in names if name != project for shot in self._by_project[name][label]
+            )
+            for project in names + [None]
+            for label in Label
+        }
 
     def projects(self) -> list[str]:
         return sorted(self._by_project)
@@ -134,12 +144,9 @@ class ShotDatabase:
     def pool(self, project: str, label: Label) -> list[Shot]:
         return list(self._by_project.get(project, {}).get(label, ()))
 
-    def other_pool(self, project: str, label: Label) -> list[Shot]:
-        out: list[Shot] = []
-        for name in self.projects():
-            if name != project:
-                out.extend(self._by_project[name][label])
-        return out
+    def other_pool(self, project: str, label: Label) -> tuple[Shot, ...]:
+        key = (project, label) if project in self._by_project else (None, label)
+        return self._others[key]
 
 
 def load_corpus(dataset_root: str | Path) -> dict[str, DatasetSplit]:
@@ -167,7 +174,7 @@ def load_shot_db(dataset_root: str | Path) -> ShotDatabase:
 
 
 def _take(
-    primary: list[Shot], fallback: list[Shot], count: int, rng: random.Random
+    primary: Sequence[Shot], fallback: Sequence[Shot], count: int, rng: random.Random
 ) -> list[Shot]:
     if count == 0:
         return []
@@ -181,7 +188,7 @@ def _take(
     return list(primary) + rng.sample(fallback, remaining)
 
 
-def _rank_pool(target: ConfigFile, pool: list[Shot], count: int) -> list[Shot]:
+def _rank_pool(target: ConfigFile, pool: Sequence[Shot], count: int) -> list[Shot]:
     if count == 0 or not pool:
         return []
     target_doc = " ".join(target.names())
@@ -191,7 +198,7 @@ def _rank_pool(target: ConfigFile, pool: list[Shot], count: int) -> list[Shot]:
 
 
 def _rank_by_cosine(
-    target: ConfigFile, primary: list[Shot], fallback: list[Shot], count: int
+    target: ConfigFile, primary: Sequence[Shot], fallback: Sequence[Shot], count: int
 ) -> list[Shot]:
     picked = _rank_pool(target, primary, count)
     if len(picked) < count:

@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from .config_model import frozen_cached_property
 from .errors import ResponseFormatError
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9]*\n(.*?)```", re.DOTALL)
@@ -24,6 +25,11 @@ class ValidationResponse:
         object.__setattr__(self, "reason", tuple(self.reason))
 
     def canonical_key(self) -> tuple[bool, tuple[str, ...]]:
+        """(hasError, sorted unique flagged parameters): what the vote counts."""
+        return self._canonical_key
+
+    @frozen_cached_property
+    def _canonical_key(self) -> tuple[bool, tuple[str, ...]]:
         return (self.hasError, tuple(sorted(set(self.errParameter))))
 
     def to_json(self) -> str:

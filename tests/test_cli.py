@@ -322,6 +322,7 @@ class TestExitCodeContract:
             ({"max_parallel": 1.5}, "max_parallel"),
             ({"shot_db": 5}, "shot_db"),
             ({"seed": "abc"}, "seed"),
+            ({"early_stop": 0}, "early_stop"),
         ],
     )
     def test_config_value_of_wrong_json_type(self, workspace, overrides, key):
@@ -333,6 +334,38 @@ class TestExitCodeContract:
         config.write_text("[1, 2]", encoding="utf-8")
         result = run_cli("evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config))
         self._assert_operational_error(result, "must be a JSON object")
+
+    def test_report_into_missing_directory(self, workspace):
+        config = write_config(workspace["tmp"])
+        report = workspace["tmp"] / "missing" / "r.json"
+        result = run_cli(
+            "evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config),
+            "--report", str(report),
+        )
+        self._assert_operational_error(result, "error:")
+        assert result.stdout == ""
+
+    def test_dataset_under_a_regular_file(self, workspace):
+        blocker = workspace["tmp"] / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        result = run_cli(
+            "gen-dataset", "--spec", str(workspace["spec_path"]), "--out", str(blocker / "x")
+        )
+        self._assert_operational_error(result, "error:")
+
+    def test_csv_under_a_regular_file(self, workspace):
+        config = write_config(workspace["tmp"])
+        report = workspace["tmp"] / "report.json"
+        code = main([
+            "evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config),
+            "--report", str(report),
+        ])
+        assert code == 0
+        blocker = workspace["tmp"] / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        result = run_cli("report", "--report", str(report), "--csv", str(blocker / "x"))
+        self._assert_operational_error(result, "error:")
+        assert result.stdout == ""
 
     def test_report_without_per_project(self, tmp_path):
         path = tmp_path / "report.json"
@@ -357,6 +390,13 @@ class TestFrameworkConfig:
         settings = cfg.pipeline_settings()
         assert settings.combination.valid_count == 1
         assert settings.combination.misconfig_count == 3
+
+    def test_early_stop_is_on_unless_turned_off(self, tmp_path):
+        from confval.cli import FrameworkConfig
+
+        assert FrameworkConfig.from_file(write_config(tmp_path)).settings.early_stop is True
+        cfg = FrameworkConfig.from_file(write_config(tmp_path, early_stop=False))
+        assert cfg.settings.early_stop is False
 
     def test_question_template_override(self, tmp_path):
         from confval.cli import FrameworkConfig
@@ -445,6 +485,7 @@ ACCEPTED = {
     ("strategy",): {"string"},
     ("retry_bound",): {"integer"},
     ("seed",): {"integer"},
+    ("early_stop",): {"bool"},
     ("shot_db",): {"string", "null"},
     ("question_template_path",): {"string", "null"},
     ("mock",): {"object"},

@@ -19,10 +19,12 @@ from confval.backend import (
     truth_map,
 )
 from confval.errors import ValidationFailedError
-from confval.misconfig_gen import Label
+from confval.misconfig_gen import Label, build_dataset
 from confval.pipeline import PipelineSettings, Verdict, validate_file, vote
 from confval.prompting import ShotCombination, ShotDatabase, build_prompt, shot_from_labeled
 from confval.responses import ValidationResponse, misconfig_answer, valid_answer
+
+from conftest import demo_spec_set
 
 
 def flagging(*params):
@@ -150,6 +152,20 @@ def corpus(spec_set, dataset):
     return dataset, shot_db, truth
 
 
+@pytest.fixture
+def waves(monkeypatch):
+    """The size of every query_batch call validate_file makes."""
+    sizes = []
+    original = confval.pipeline.query_batch
+
+    def counting(backend, prompt, count):
+        sizes.append(count)
+        return original(backend, prompt, count)
+
+    monkeypatch.setattr(confval.pipeline, "query_batch", counting)
+    return sizes
+
+
 def first_eval(dataset, label):
     return next(lf for lf in dataset.eval_set if lf.label is label)
 
@@ -159,10 +175,23 @@ class TestValidateFile:
         dataset, shot_db, truth = corpus
         target = first_eval(dataset, Label.MISCONFIG)
         backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
-        verdict = validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
+        settings = PipelineSettings(seed=5, early_stop=False)
+        verdict = validate_file(target.file, backend, shot_db, settings)
         assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert verdict.tally == 10
         assert verdict.total_votes == 10
+        assert verdict.reasons == (target.injected.reason,)
+
+    def test_echo_mock_settles_in_one_wave(self, corpus, waves):
+        dataset, shot_db, truth = corpus
+        target = first_eval(dataset, Label.MISCONFIG)
+        backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
+        verdict = validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
+        # 6 of 10 agreeing answers leave the 4 open slots unable to tie
+        assert waves == [6]
+        assert backend.total_calls == 6
+        assert verdict.canonical_key == (True, (target.injected.parameter,))
+        assert (verdict.tally, verdict.total_votes) == (6, 6)
         assert verdict.reasons == (target.injected.reason,)
 
     def test_fitting_prompt_is_built_once(self, corpus, monkeypatch):
@@ -208,12 +237,8 @@ class TestValidateFile:
         assert verdict.discarded_count == 2
         assert backend.total_calls == 3
 
-    def test_repeated_rejections_are_counted_per_slot(self, corpus):
-        dataset, shot_db, truth = corpus
-        target = first_eval(dataset, Label.MISCONFIG)
-        settings = PipelineSettings(
-            num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0)
-        )
+    def _rejection_script(self, target, truth, settings):
+        """Two malformed answers, then each of R1-R4 twice, then the truth."""
         fp = prompt_fingerprint(build_prompt(target.file, [], settings.question_template).text)
         a, b = target.injected.parameter, "other.parameter"
         rejected = {
@@ -222,21 +247,49 @@ class TestValidateFile:
             "R3": {"hasError": True, "errParameter": [a, b], "reason": ["odd"]},
             "R4": {"hasError": True, "errParameter": [a, a], "reason": ["odd", "odd"]},
         }
-        # rounds of 4, 4, 4 and 2 slots; each rejected text comes twice
         order = [MALFORMED_TEXT] * 2
         for rule in ("R1", "R2", "R3", "R4"):
             order += [json.dumps(rejected[rule])] * 2
-        script = MockScript(
+        return MockScript(
             MockBehavior.ECHO_GROUND_TRUTH,
             truth=truth,
             responses={(fp, i): text for i, text in enumerate(order)},
         )
-        backend = MockBackend(script)
+
+    def test_repeated_rejections_are_counted_per_slot(self, corpus):
+        dataset, shot_db, truth = corpus
+        target = first_eval(dataset, Label.MISCONFIG)
+        settings = PipelineSettings(
+            num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0), early_stop=False
+        )
+        # rounds of 4, 4, 4 and 2 slots; each rejected text comes twice
+        backend = MockBackend(self._rejection_script(target, truth, settings))
         verdict = validate_file(target.file, backend, shot_db, settings)
         assert backend.total_calls == 14
         assert verdict.discarded_count == 10
-        assert verdict.canonical_key == (True, (a,))
+        assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert (verdict.tally, verdict.total_votes) == (4, 4)
+        assert verdict.reasons == (target.injected.reason,)
+
+    def test_repeated_rejections_settle_early(self, corpus, waves):
+        dataset, shot_db, truth = corpus
+        target = first_eval(dataset, Label.MISCONFIG)
+        settings = PipelineSettings(
+            num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0)
+        )
+        backend = MockBackend(self._rejection_script(target, truth, settings))
+        verdict = validate_file(target.file, backend, shot_db, settings)
+        # calls 0-9 are rejected, 10 onwards accepted; a wave takes at most 3
+        # slots (any 3 answers could settle 4 open slots) of one attempt:
+        # first attempts 3 + 1 (calls 0-3), second attempts 3 + 1 (4-7),
+        # third attempts 3 (8 and 9 rejected, 10 accepted), then 1 of the
+        # remaining third attempt and 1 of the two fourth (11, 12 accepted):
+        # 3 votes beat the one open slot.
+        assert waves == [3, 1, 3, 1, 3, 1, 1]
+        assert backend.total_calls == 13
+        assert verdict.discarded_count == 10
+        assert verdict.canonical_key == (True, (target.injected.parameter,))
+        assert (verdict.tally, verdict.total_votes) == (3, 3)
         assert verdict.reasons == (target.injected.reason,)
 
     def test_all_slots_exhausted_is_an_error(self, corpus):
@@ -245,7 +298,7 @@ class TestValidateFile:
         backend = MockBackend(MockScript(MockBehavior.MALFORMED))
         with pytest.raises(ValidationFailedError):
             validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
-        # one initial round plus three retry rounds per slot
+        # early stop or not, every slot makes its first attempt and 3 retries
         assert backend.total_calls == 40
 
     def test_noise_deterministic_across_runs(self, corpus):
@@ -303,3 +356,97 @@ class TestValidateFile:
         verdict = validate_file(diff, backend, shot_db, PipelineSettings(seed=5))
         assert verdict.canonical_key == (True, (changed[0].name,))
         assert verdict.target_key == snippet.content_key()
+
+
+# --- the stop rule as a property over scripted answer sequences ---
+
+ANSWERS = (
+    valid_answer().to_json(),
+    flagging("a").to_json(),
+    flagging("b").to_json(),
+    flagging("a", "b").to_json(),
+)
+REJECTED = (
+    MALFORMED_TEXT,
+    json.dumps({"hasError": False, "errParameter": ["a"], "reason": ["odd"]}),  # R1
+    json.dumps({"hasError": True, "errParameter": [], "reason": []}),  # R2
+    json.dumps({"hasError": True, "errParameter": ["a", "b"], "reason": ["odd"]}),  # R3
+    json.dumps({"hasError": True, "errParameter": ["a", "a"], "reason": ["x", "y"]}),  # R4
+)
+
+
+@st.composite
+def answer_scripts(draw):
+    """(num_queries, retry_bound, one completion per call index)."""
+    num_queries = draw(st.integers(1, 12))
+    retry_bound = draw(st.integers(0, 3))
+    keys = draw(st.integers(1, 4))
+    completion = st.one_of(st.sampled_from(ANSWERS[:keys]), st.sampled_from(REJECTED))
+    texts = draw(st.lists(completion, min_size=num_queries * (retry_bound + 1),
+                          max_size=num_queries * (retry_bound + 1)))
+    return num_queries, retry_bound, texts
+
+
+@pytest.fixture(scope="module")
+def bare_target():
+    """A misconfigured target, prompted with no shots."""
+    dataset = build_dataset(demo_spec_set(), rng=random.Random(7))
+    return first_eval(dataset, Label.MISCONFIG).file
+
+
+class TestStopRule:
+    def _run(self, target, num_queries, retry_bound, texts, early_stop):
+        settings = PipelineSettings(
+            num_queries=num_queries,
+            retry_bound=retry_bound,
+            combination=ShotCombination(0, 0),
+            early_stop=early_stop,
+        )
+        fp = prompt_fingerprint(build_prompt(target, [], settings.question_template).text)
+        backend = MockBackend(
+            MockScript(MockBehavior.ALWAYS_VALID, responses={(fp, i): t for i, t in enumerate(texts)})
+        )
+        try:
+            verdict = validate_file(target, backend, ShotDatabase([]), settings)
+        except ValidationFailedError:
+            verdict = None
+        return verdict, backend.total_calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(answer_scripts())
+    def test_early_stop_keeps_the_key_and_saves_calls(self, bare_target, script):
+        num_queries, retry_bound, texts = script
+        full, full_calls = self._run(bare_target, num_queries, retry_bound, texts, False)
+        early, early_calls = self._run(bare_target, num_queries, retry_bound, texts, True)
+        assert early_calls <= full_calls <= num_queries * (retry_bound + 1)
+        # waves take the lowest attempt number first, so the early-stopped run
+        # makes a prefix of the full run's calls: the same key, even where
+        # slots run out of retries
+        assert (early is None) == (full is None)
+        if full is not None:
+            assert early.canonical_key == full.canonical_key
+            assert early.discarded_count <= full.discarded_count
+            assert early.tally <= full.tally
+
+    @settings(max_examples=100, deadline=None)
+    @given(answer_scripts(), st.randoms(use_true_random=False))
+    def test_wave_outcome_ignores_which_call_served_which_slot(self, bare_target, script, rng):
+        """Parallel slots take call indices in whatever order their threads run;
+        a wave whose results come back in any order must give the same verdict."""
+        num_queries, retry_bound, texts = script
+        expected = self._run(bare_target, num_queries, retry_bound, texts, True)
+        original = confval.pipeline.query_batch
+
+        def shuffled(backend, prompt, count):
+            results = original(backend, prompt, count)
+            rng.shuffle(results)
+            return results
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(confval.pipeline, "query_batch", shuffled)
+            verdict, calls = self._run(bare_target, num_queries, retry_bound, texts, True)
+        assert calls == expected[1]
+        if verdict is None:
+            assert expected[0] is None
+        else:
+            assert verdict.to_report("t") == expected[0].to_report("t")

@@ -181,6 +181,60 @@ class TestSelectShots:
         assert shots[0].labeled.file.names()[0] == "m2"
 
 
+    @pytest.mark.parametrize(
+        "strategy", [SelectionStrategy.RANDOM, SelectionStrategy.COSINE_SIMILARITY]
+    )
+    def test_prebuilt_other_pools_choose_the_same_shots(self, six_datasets, monkeypatch, strategy):
+        """Shots and prompt text match a frozen copy of the per-call other_pool."""
+
+        def rebuilt_other_pool(db, project, label):
+            out = []
+            for name in db.projects():
+                if name != project:
+                    out.extend(db.pool(name, label))
+            return out
+
+        splits = {project: split for project, (_, split) in six_datasets.items()}
+        unseen = sorted(splits)[0]
+        databases = [
+            ShotDatabase(shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool),
+            ShotDatabase(
+                shot_from_labeled(lf)
+                for project, split in splits.items()
+                if project != unseen
+                for lf in split.shot_pool
+            ),
+        ]
+
+        def choices():
+            out = []
+            for db in databases:
+                for split in splits.values():
+                    for i, labeled in enumerate(split.eval_set[::4]):
+                        combo = ShotCombination(i % 4, 3 + 5 * (i % 3))
+                        try:
+                            shots = select_shots(
+                                db, labeled.file.project, combo, strategy, random.Random(i),
+                                target=labeled.file,
+                            )
+                        except InsufficientShotsError as exc:
+                            out.append(str(exc))
+                            continue
+                        ids = [(s.source_project, s.labeled.file.content_key()) for s in shots]
+                        out.append((labeled.file.project, ids, build_prompt(labeled.file, shots).text))
+            return out
+
+        prebuilt = choices()
+        monkeypatch.setattr(ShotDatabase, "other_pool", rebuilt_other_pool)
+        assert prebuilt == choices()
+        # the other projects' pools were drawn from, for the unseen project too
+        fallbacks = {
+            project
+            for project, ids, _ in (c for c in prebuilt if isinstance(c, tuple))
+            if any(source != project for source, _ in ids)
+        }
+        assert fallbacks == set(splits)
+
 class TestBuildPrompt:
     def test_zero_shot_prompt(self):
         target = small_file()
