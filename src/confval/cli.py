@@ -54,7 +54,6 @@ _TOP_KEYS = {
     "strategy": (str,),
     "retry_bound": (int,),
     "seed": (int,),
-    "early_stop": (bool,),
     "shots": (dict,),
     "shot_db": _PATH,
     "question_template_path": _PATH,
@@ -63,9 +62,7 @@ _TOP_KEYS = {
 }
 _SHOTS_KEYS = {"valid": (int,), "misconfig": (int,)}
 _MOCK_KEYS = {"behavior": (str,), "noise_rate": _NUMBER, "seed": (int, type(None)), "truth_from": _PATH}
-_JSON_NAMES = {
-    bool: "boolean", int: "integer", float: "number", str: "string", dict: "object", type(None): "null"
-}
+_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object", type(None): "null"}
 _DEFAULT_MOCK = MockScript(noise_rate=0.2)
 
 
@@ -77,7 +74,7 @@ def _checked(section: str, doc: object, types: dict[str, tuple[type, ...]]) -> d
         name = f"{section}.{key}" if section else key
         if key not in types:
             raise SpecError(f"unknown framework config key {name!r}")
-        if not isinstance(value, types[key]) or (isinstance(value, bool) and bool not in types[key]):
+        if isinstance(value, bool) or not isinstance(value, types[key]):
             expected = " or ".join(_JSON_NAMES[t] for t in types[key])
             raise SpecError(f"framework config key {name!r} must be {expected}, got {value!r}")
     return doc
@@ -129,11 +126,7 @@ class FrameworkConfig:
                 ),
                 strategy=SelectionStrategy(doc.get("strategy", SelectionStrategy.RANDOM.value)),
                 question_template=template,
-                **{
-                    key: doc[key]
-                    for key in ("num_queries", "retry_bound", "seed", "early_stop")
-                    if key in doc
-                },
+                **{key: doc[key] for key in ("num_queries", "retry_bound", "seed") if key in doc},
             )
             return cls(
                 backend=doc.get("backend", "mock"),

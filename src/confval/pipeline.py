@@ -10,13 +10,13 @@ A file has num_queries slots, each allowed retry_bound + 1 attempts. A
 rejected or unparseable completion is discarded and its slot waits for a
 retry; a slot is lost on a BackendError or when its attempts run out. Slots
 are queried in settling waves: each wave is at most the fewest open slots
-whose answers could settle the vote, and querying stops once the leading key has
-more votes than the runner-up plus every open slot, so no remaining answer
-could change or tie the winner. Every first attempt goes before any retry,
+whose answers could settle the vote, and querying stops once the leading key
+has more votes than the runner-up plus every open slot, so no remaining
+answer could change or tie the winner. Every first attempt goes before any retry,
 and every k-th before any (k+1)-th, which is the order of the paper's fixed
-rounds (every open slot at once, as with early_stop off); so an
-early-stopped run makes a prefix of that run's calls and, with answers that
-depend only on the call's position, votes for the same key.
+rounds (every open slot at once); so an early-stopped run makes a prefix of
+that run's calls and, with answers that depend only on the call's position,
+votes for the same key.
 
 The vote counts a pool of answers and the reasons are clustered in sorted
 order, so neither depends on which thread served which slot, and parallel
@@ -91,20 +91,12 @@ class Verdict:
 
 
 def vote(
-    responses: list[ValidationResponse],
-    tally: Counter | None = None,
-    *,
-    discarded_count: int = 0,
-    target_key: str = "",
+    responses: list[ValidationResponse], *, discarded_count: int = 0, target_key: str = ""
 ) -> Verdict:
-    """Frequency voting over canonical keys, order independent.
-
-    tally is Counter(r.canonical_key() for r in responses); a caller that
-    counted the answers as they came passes its own instead of a recount.
-    """
+    """Frequency voting over canonical keys, order independent."""
     if not responses:
         raise ValueError("cannot vote over zero responses")
-    counts = Counter(r.canonical_key() for r in responses) if tally is None else tally
+    counts = Counter(r.canonical_key() for r in responses)
     best = max(counts.values())
     tied = [key for key, count in counts.items() if count == best]
     winner = min(tied, key=lambda key: (len(key[1]), key[1]))
@@ -155,7 +147,6 @@ class PipelineSettings:
     seed: int = 0
     question_template: str = DEFAULT_QUESTION_TEMPLATE
     estimator: TokenEstimator = field(default=estimate_tokens)
-    early_stop: bool = True
 
     def __post_init__(self):
         if self.num_queries < 1:
@@ -194,10 +185,9 @@ def validate_file(
 ) -> Verdict:
     """Full pipeline: shots, prompt, budget, queries, filter, vote.
 
-    With settings.early_stop (the default) the queries go out in settling
-    waves and stop once the vote is settled; without it every slot is
-    queried, as in the paper's fixed num_queries. Shot selection is seeded
-    per target content, so results do not depend on evaluation order. Raises
+    The queries go out in settling waves and stop once the vote is settled.
+    Shot selection is seeded per target content, so results do not depend
+    on evaluation order. Raises
     TokenBudgetExceededError when the target cannot fit and
     ValidationFailedError when no slot ever yields an accepted response.
     """
@@ -224,7 +214,7 @@ def validate_file(
     # attempt only, so which thread's call served which slot cannot matter
     waiting = [settings.num_queries] + [0] * settings.retry_bound
     while open_slots := sum(waiting):
-        wave = _settling_wave(tally, open_slots) if settings.early_stop else open_slots
+        wave = _settling_wave(tally, open_slots)
         if wave == 0:
             break
         attempt = next(a for a, count in enumerate(waiting) if count)
@@ -251,4 +241,4 @@ def validate_file(
             f"no accepted response after {settings.num_queries} slots "
             f"({discarded} discarded, {backend_failures} backend failures)"
         )
-    return vote(accepted, tally, discarded_count=discarded, target_key=target.content_key())
+    return vote(accepted, discarded_count=discarded, target_key=target.content_key())

@@ -322,7 +322,6 @@ class TestExitCodeContract:
             ({"max_parallel": 1.5}, "max_parallel"),
             ({"shot_db": 5}, "shot_db"),
             ({"seed": "abc"}, "seed"),
-            ({"early_stop": 0}, "early_stop"),
         ],
     )
     def test_config_value_of_wrong_json_type(self, workspace, overrides, key):
@@ -390,13 +389,6 @@ class TestFrameworkConfig:
         settings = cfg.pipeline_settings()
         assert settings.combination.valid_count == 1
         assert settings.combination.misconfig_count == 3
-
-    def test_early_stop_is_on_unless_turned_off(self, tmp_path):
-        from confval.cli import FrameworkConfig
-
-        assert FrameworkConfig.from_file(write_config(tmp_path)).settings.early_stop is True
-        cfg = FrameworkConfig.from_file(write_config(tmp_path, early_stop=False))
-        assert cfg.settings.early_stop is False
 
     def test_question_template_override(self, tmp_path):
         from confval.cli import FrameworkConfig
@@ -485,7 +477,6 @@ ACCEPTED = {
     ("strategy",): {"string"},
     ("retry_bound",): {"integer"},
     ("seed",): {"integer"},
-    ("early_stop",): {"bool"},
     ("shot_db",): {"string", "null"},
     ("question_template_path",): {"string", "null"},
     ("mock",): {"object"},

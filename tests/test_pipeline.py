@@ -166,17 +166,26 @@ def waves(monkeypatch):
     return sizes
 
 
+def every_open_slot(tally, open_slots):
+    """A wave rule that never stops early: the paper's fixed rounds."""
+    return open_slots
+
+
+@pytest.fixture
+def fixed_rounds(monkeypatch):
+    monkeypatch.setattr(confval.pipeline, "_settling_wave", every_open_slot)
+
+
 def first_eval(dataset, label):
     return next(lf for lf in dataset.eval_set if lf.label is label)
 
 
 class TestValidateFile:
-    def test_echo_mock_flags_injected_parameter(self, corpus):
+    def test_echo_mock_flags_injected_parameter(self, corpus, fixed_rounds):
         dataset, shot_db, truth = corpus
         target = first_eval(dataset, Label.MISCONFIG)
         backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
-        settings = PipelineSettings(seed=5, early_stop=False)
-        verdict = validate_file(target.file, backend, shot_db, settings)
+        verdict = validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
         assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert verdict.tally == 10
         assert verdict.total_votes == 10
@@ -256,11 +265,11 @@ class TestValidateFile:
             responses={(fp, i): text for i, text in enumerate(order)},
         )
 
-    def test_repeated_rejections_are_counted_per_slot(self, corpus):
+    def test_repeated_rejections_are_counted_per_slot(self, corpus, fixed_rounds):
         dataset, shot_db, truth = corpus
         target = first_eval(dataset, Label.MISCONFIG)
         settings = PipelineSettings(
-            num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0), early_stop=False
+            num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0)
         )
         # rounds of 4, 4, 4 and 2 slots; each rejected text comes twice
         backend = MockBackend(self._rejection_script(target, truth, settings))
@@ -298,7 +307,8 @@ class TestValidateFile:
         backend = MockBackend(MockScript(MockBehavior.MALFORMED))
         with pytest.raises(ValidationFailedError):
             validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
-        # early stop or not, every slot makes its first attempt and 3 retries
+        # no answer is ever accepted, so every slot makes its first attempt
+        # and 3 retries
         assert backend.total_calls == 40
 
     def test_noise_deterministic_across_runs(self, corpus):
@@ -397,19 +407,19 @@ def bare_target():
 class TestStopRule:
     def _run(self, target, num_queries, retry_bound, texts, early_stop):
         settings = PipelineSettings(
-            num_queries=num_queries,
-            retry_bound=retry_bound,
-            combination=ShotCombination(0, 0),
-            early_stop=early_stop,
+            num_queries=num_queries, retry_bound=retry_bound, combination=ShotCombination(0, 0)
         )
         fp = prompt_fingerprint(build_prompt(target, [], settings.question_template).text)
         backend = MockBackend(
             MockScript(MockBehavior.ALWAYS_VALID, responses={(fp, i): t for i, t in enumerate(texts)})
         )
-        try:
-            verdict = validate_file(target, backend, ShotDatabase([]), settings)
-        except ValidationFailedError:
-            verdict = None
+        with pytest.MonkeyPatch.context() as patch:
+            if not early_stop:
+                patch.setattr(confval.pipeline, "_settling_wave", every_open_slot)
+            try:
+                verdict = validate_file(target, backend, ShotDatabase([]), settings)
+            except ValidationFailedError:
+                verdict = None
         return verdict, backend.total_calls
 
     @settings(max_examples=200, deadline=None)
