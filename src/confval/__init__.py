@@ -93,7 +93,6 @@ from .prompting import (
     load_shot_db,
     select_shots,
     shot_from_labeled,
-    split_file,
 )
 from .responses import ValidationResponse, parse_response, validate_response
 

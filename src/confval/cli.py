@@ -284,6 +284,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         _progress(f"error: malformed report {args.report}: {exc!r}")
         return 2
+    if args.csv and report is None:
+        _progress(f"error: --csv needs a single evaluate report; {args.report} is a sweep")
+        return 2
     if tables:
         out_dir = Path(args.csv)
         try:

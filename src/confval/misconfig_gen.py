@@ -648,11 +648,11 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
 
     project_dir = manifest_path.parent
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    project = manifest["project"]
-    version = manifest["version"]
+    project = _typed(manifest, "project", str)
+    version = _typed(manifest, "version", str)
     shots: list[LabeledFile] = []
     evals: list[LabeledFile] = []
-    for row in manifest["files"]:
+    for row in _typed(manifest, "files", list):
         file = load_config_file(
             project_dir / row["path"],
             project,
@@ -668,9 +668,19 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
             injected = InjectedFault(
                 parameter=row["parameter"],
                 subcategory=Subcategory(row["subcategory"]),
-                reason=row["reason"],
+                reason=_typed(row, "reason", str),
             )
         bucket = None if row["bucket"] == "unbucketed" else Subcategory(row["bucket"])
         labeled = LabeledFile(file, Label(row["label"]), injected, bucket=bucket)
+        if row["split"] not in ("shot_pool", "eval_set"):
+            raise ValueError(f"unknown split {row['split']!r}")
         (shots if row["split"] == "shot_pool" else evals).append(labeled)
     return project, DatasetSplit(tuple(shots), tuple(evals))
+
+
+def _typed(doc: dict, key: str, kind: type):
+    """doc[key], which must be of the given JSON type; KeyError when absent."""
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    return value

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -22,7 +23,7 @@ from .config_model import ConfigFile, compress, frozen_cached_property, render_c
 from .errors import ConfvalError, InsufficientShotsError, TokenBudgetExceededError
 from .misconfig_gen import MANIFEST_NAME, DatasetSplit, Label, LabeledFile, load_dataset
 from .responses import ValidationResponse, misconfig_answer, valid_answer
-from .textsim import rank_by_similarity
+from .textsim import TfidfIndex, rank_by_similarity
 
 DEFAULT_QUESTION_TEMPLATE = (
     "Are there any mistakes in the above configuration file for [PROJECT] "
@@ -118,7 +119,11 @@ class SelectionStrategy(Enum):
 
 
 class ShotDatabase:
-    """Immutable pool of shots grouped by project and label."""
+    """Immutable pool of shots grouped by project and label.
+
+    It also owns the TF-IDF index of each pool that cosine selection ranks,
+    built on the first ranking, so runs that never rank build none.
+    """
 
     def __init__(self, shots: Iterable[Shot]):
         self._by_project: dict[str, dict[Label, list[Shot]]] = {}
@@ -137,6 +142,8 @@ class ShotDatabase:
             for project in names + [None]
             for label in Label
         }
+        self._indexes: dict[tuple[str | None, Label, bool], TfidfIndex] = {}
+        self._index_lock = threading.Lock()
 
     def projects(self) -> list[str]:
         return sorted(self._by_project)
@@ -147,6 +154,19 @@ class ShotDatabase:
     def other_pool(self, project: str, label: Label) -> tuple[Shot, ...]:
         key = (project, label) if project in self._by_project else (None, label)
         return self._others[key]
+
+    def ranked_pool(self, project: str, label: Label, own: bool) -> tuple[Sequence[Shot], TfidfIndex]:
+        """pool() when own, else other_pool(), with the index of its shots'
+        parameter names."""
+        pool = self.pool(project, label) if own else self.other_pool(project, label)
+        key = (project if project in self._by_project else None, label, own)
+        index = self._indexes.get(key)
+        if index is None:
+            with self._index_lock:
+                index = self._indexes.get(key)
+                if index is None:
+                    index = self._indexes[key] = TfidfIndex([_names_doc(s.labeled.file) for s in pool])
+        return pool, index
 
 
 def load_corpus(dataset_root: str | Path) -> dict[str, DatasetSplit]:
@@ -188,25 +208,26 @@ def _take(
     return list(primary) + rng.sample(fallback, remaining)
 
 
-def _rank_pool(target: ConfigFile, pool: Sequence[Shot], count: int) -> list[Shot]:
-    if count == 0 or not pool:
-        return []
-    target_doc = " ".join(target.names())
-    docs = [" ".join(shot.labeled.file.names()) for shot in pool]
-    order = rank_by_similarity(target_doc, docs)
-    return [pool[i] for i in order[:count]]
+def _names_doc(file: ConfigFile) -> str:
+    return " ".join(file.names())
 
 
 def _rank_by_cosine(
-    target: ConfigFile, primary: Sequence[Shot], fallback: Sequence[Shot], count: int
+    db: ShotDatabase, project: str, label: Label, target_doc: str, count: int
 ) -> list[Shot]:
-    picked = _rank_pool(target, primary, count)
+    """The count shots nearest the target, from its own project's pool first."""
+    picked: list[Shot] = []
+    available = 0
+    for own in (True, False):
+        if len(picked) == count:
+            return picked
+        pool, index = db.ranked_pool(project, label, own)
+        available += len(pool)
+        if pool:
+            order = rank_by_similarity(target_doc, index)
+            picked += [pool[i] for i in order[: count - len(picked)]]
     if len(picked) < count:
-        picked += _rank_pool(target, fallback, count - len(picked))
-    if len(picked) < count:
-        raise InsufficientShotsError(
-            f"requested {count} shots, only {len(primary) + len(fallback)} available"
-        )
+        raise InsufficientShotsError(f"requested {count} shots, only {available} available")
     return picked
 
 
@@ -225,6 +246,12 @@ def select_shots(
     bucket (harness mode); COSINE_SIMILARITY ranks pools by parameter-name
     similarity to the target instead of sampling.
     """
+    if strategy is SelectionStrategy.COSINE_SIMILARITY and target is not None:
+        target_doc = _names_doc(target)
+        valid = _rank_by_cosine(db, project, Label.VALID, target_doc, combo.valid_count)
+        misconfig = _rank_by_cosine(db, project, Label.MISCONFIG, target_doc, combo.misconfig_count)
+        return valid + misconfig
+
     valid_primary = db.pool(project, Label.VALID)
     valid_fallback = db.other_pool(project, Label.VALID)
     mis_primary = db.pool(project, Label.MISCONFIG)
@@ -237,11 +264,6 @@ def select_shots(
         mis_fallback = [
             s for s in mis_fallback if s.labeled.injected.subcategory is target_subcategory
         ]
-
-    if strategy is SelectionStrategy.COSINE_SIMILARITY and target is not None:
-        valid = _rank_by_cosine(target, valid_primary, valid_fallback, combo.valid_count)
-        misconfig = _rank_by_cosine(target, mis_primary, mis_fallback, combo.misconfig_count)
-        return valid + misconfig
 
     valid = _take(valid_primary, valid_fallback, combo.valid_count, rng)
     misconfig = _take(mis_primary, mis_fallback, combo.misconfig_count, rng)
@@ -343,33 +365,3 @@ def fit_to_budget(
     raise TokenBudgetExceededError(
         f"target file and question exceed the token limit ({limit}) even compressed"
     )
-
-
-def split_file(
-    file: ConfigFile, limit: int, estimator: TokenEstimator = estimate_tokens
-) -> list[ConfigFile]:
-    """Split an oversized file into snippets that each fit the budget alone.
-
-    Snippets are validated independently; no cross-snippet reasoning happens.
-    """
-    snippets: list[ConfigFile] = []
-    start = 0
-    entries = file.entries
-    while start < len(entries):
-        end = start + 1
-        best = None
-        while end <= len(entries):
-            candidate = ConfigFile(file.project, file.version, file.format, entries[start:end])
-            prompt = build_prompt(candidate, [], estimator=estimator)
-            if prompt.token_estimate <= limit:
-                best = candidate
-                end += 1
-            else:
-                break
-        if best is None:
-            raise TokenBudgetExceededError(
-                f"entry {entries[start].name!r} alone exceeds the token limit"
-            )
-        snippets.append(best)
-        start += len(best.entries)
-    return snippets

@@ -2,8 +2,15 @@
 
 Tokens are lowercase alphanumeric runs. IDF is smoothed,
 idf(t) = ln((1 + n) / (1 + df(t))) + 1, and vectors are L2-normalized, so
-cosine similarity is a plain dot product. Corpora here are tiny (a handful of
-reason strings or shot files), so sparse dicts beat pulling in an array stack.
+cosine similarity is a plain dot product.
+
+Ranking a fixed pool against many queries goes through a TfidfIndex, built
+once per pool. It keeps each document's terms in first-occurrence order with
+the two weights each can take: the query either lacks the term (df) or has
+it (df + 1), since the query joins the collection. A ranking then costs work
+in the pool's term count and re-tokenises nothing. Its sums and products run in
+the order tfidf_vectors and cosine use, so every score, and every ranking, is
+bit-identical to building the vectors of [query] + docs per call.
 
 When every reason in a list is the same string (ten votes that agree),
 dominant_representative returns it without clustering.
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from typing import Sequence
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -22,13 +30,17 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def _idf(n: int, df: int) -> float:
+    return math.log((1 + n) / (1 + df)) + 1.0
+
+
 def tfidf_vectors(docs: list[str]) -> list[dict[str, float]]:
     counts = [Counter(tokenize(doc)) for doc in docs]
     n = len(docs)
     df: Counter = Counter()
     for c in counts:
         df.update(c.keys())
-    idf = {t: math.log((1 + n) / (1 + d)) + 1.0 for t, d in df.items()}
+    idf = {t: _idf(n, d) for t, d in df.items()}
     vectors = []
     for c in counts:
         vec = {t: tf * idf[t] for t, tf in c.items()}
@@ -111,9 +123,58 @@ def dominant_representative(docs: list[str], threshold: float = 0.4) -> str:
     return docs[medoid(best_cluster, sims)]
 
 
-def rank_by_similarity(query: str, docs: list[str]) -> list[int]:
-    """Indices of docs sorted by descending cosine to the query; stable."""
-    vectors = tfidf_vectors([query] + docs)
-    query_vec = vectors[0]
-    scores = [cosine(query_vec, vec) for vec in vectors[1:]]
-    return sorted(range(len(docs)), key=lambda i: (-scores[i], i))
+class TfidfIndex:
+    """TF-IDF statistics of a fixed pool of documents, for rank_by_similarity.
+
+    The query counts as one more document: n is len(docs) + 1, and a pool
+    term's df rises by one when the query has it.
+    """
+
+    def __init__(self, docs: Sequence[str]):
+        counts = [Counter(tokenize(doc)) for doc in docs]
+        df: Counter = Counter()
+        for c in counts:
+            df.update(c.keys())
+        n = len(docs) + 1
+        # per term: (idf when the query lacks it, idf when it has it)
+        self._idf = {t: (_idf(n, d), _idf(n, d + 1)) for t, d in df.items()}
+        self._unseen_idf = _idf(n, 1)  # a query term no document has
+        # per document, terms in first-occurrence order, each with its weight
+        # and squared weight without and with the query
+        self._docs: list[list[tuple[str, float, float, float, float]]] = []
+        for c in counts:
+            rows = []
+            for t, tf in c.items():
+                idf_without, idf_with = self._idf[t]
+                w0, w1 = tf * idf_without, tf * idf_with
+                rows.append((t, w0, w1, w0 * w0, w1 * w1))
+            self._docs.append(rows)
+
+    def cosines(self, query: str) -> list[float]:
+        """Cosine of each document to the query, bit-identical to cosine() over
+        tfidf_vectors([query] + docs)."""
+        query_vec = {}
+        for t, tf in Counter(tokenize(query)).items():
+            idf = self._idf.get(t)
+            query_vec[t] = tf * (idf[1] if idf else self._unseen_idf)
+        # every weight is at least 1, so a norm is 0 only for an empty vector
+        norm = math.sqrt(sum(w * w for w in query_vec.values()))
+        query_vec = {t: w / norm for t, w in query_vec.items()}
+        scores = []
+        for rows in self._docs:
+            picked = [(t, w1, s1) if t in query_vec else (t, w0, s0) for t, w0, w1, s0, s1 in rows]
+            norm = math.sqrt(sum(s for _, _, s in picked))
+            # cosine() iterates the smaller vector, the query on a tie
+            if len(picked) < len(query_vec):
+                scores.append(sum(w / norm * query_vec.get(t, 0.0) for t, w, _ in picked))
+            else:
+                doc_vec = {t: w / norm for t, w, _ in picked}
+                scores.append(sum(w * doc_vec.get(t, 0.0) for t, w in query_vec.items()))
+        return scores
+
+
+def rank_by_similarity(query: str, index: TfidfIndex) -> list[int]:
+    """Indices of the index's documents sorted by descending cosine to the
+    query; stable."""
+    scores = index.cosines(query)
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))

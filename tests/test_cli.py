@@ -328,6 +328,16 @@ class TestExitCodeContract:
         result = self._evaluate(workspace, **overrides)
         self._assert_operational_error(result, key)
 
+    def test_oversized_file(self, workspace):
+        row = manifest_rows(workspace["dataset"])[0]
+        config = write_config(workspace["tmp"], token_limit=20, shot_db=str(workspace["dataset"]))
+        result = run_cli(
+            "validate", "--file", str(workspace["dataset"] / "clitest" / row["path"]),
+            "--project", "clitest", "--version", "1.0.0", "--config", str(config),
+        )
+        self._assert_operational_error(result, "exceed the token limit (20) even compressed")
+        assert result.stdout == ""
+
     def test_config_document_not_an_object(self, workspace):
         config = workspace["tmp"] / "confval.json"
         config.write_text("[1, 2]", encoding="utf-8")
@@ -365,6 +375,20 @@ class TestExitCodeContract:
         result = run_cli("report", "--report", str(report), "--csv", str(blocker / "x"))
         self._assert_operational_error(result, "error:")
         assert result.stdout == ""
+
+    def test_csv_of_a_sweep(self, workspace):
+        config = write_config(workspace["tmp"])
+        sweep = workspace["tmp"] / "sweep.json"
+        code = main([
+            "evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config),
+            "--sweep", "--max-shots", "1", "--report", str(sweep),
+        ])
+        assert code == 0
+        out_dir = workspace["tmp"] / "csv"
+        result = run_cli("report", "--report", str(sweep), "--csv", str(out_dir))
+        self._assert_operational_error(result, "--csv needs a single evaluate report")
+        assert result.stdout == ""
+        assert not out_dir.exists()
 
     def test_report_without_per_project(self, tmp_path):
         path = tmp_path / "report.json"
@@ -490,6 +514,45 @@ REPORT_KEYS = ("per_project", "macro", "micro_f1_by_subcategory", "f1_by_param_c
 REPORT_SECTIONS = REPORT_KEYS[:4]
 
 
+# what a corpus manifest must hold, as (where, key, JSON kind): the manifest
+# itself, or a valid or misconfig file row
+MANIFEST_FIELDS = (
+    [("manifest", "project", "string"), ("manifest", "version", "string"), ("manifest", "files", "array")]
+    + [
+        (label, key, "string")
+        for label in (Label.VALID.value, Label.MISCONFIG.value)
+        for key in ("path", "split", "label", "bucket", "format", "content_key")
+    ]
+    + [(Label.MISCONFIG.value, key, "string") for key in ("parameter", "subcategory", "reason")]
+)
+
+
+@st.composite
+def manifest_mutation(draw):
+    """One way to break a manifest: a key dropped, a value of a wrong JSON
+    type, a wrong content_key, or a path to a missing file."""
+    where, key, kind = draw(st.sampled_from(MANIFEST_FIELDS))
+    hows = ["drop", "retype"] + (["content_key", "missing_file"] if where != "manifest" else [])
+    how = draw(st.sampled_from(hows))
+    value = draw(st.one_of(*(strategy for k, strategy in JSON_KINDS.items() if k != kind)))
+    return where, key, how, draw(st.integers(min_value=0, max_value=10_000)), value
+
+
+def mutate_manifest(manifest, where, key, how, pick, value):
+    doc = manifest
+    if where != "manifest":
+        rows = [row for row in manifest["files"] if row["label"] == where]
+        doc = rows[pick % len(rows)]
+    if how == "drop":
+        del doc[key]
+    elif how == "retype":
+        doc[key] = value
+    elif how == "content_key":
+        doc["content_key"] = "0" * 16 if doc["content_key"] != "0" * 16 else "1" * 16
+    else:
+        doc["path"] = f"missing/{doc['path']}"
+
+
 def readme_config() -> dict:
     section = README.read_text(encoding="utf-8").split("### Framework config", 1)[1]
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
@@ -564,6 +627,23 @@ class TestBoundaryFuzz:
     def test_wrongly_typed_config_exits_two(self, readme_workspace, monkeypatch, doc):
         monkeypatch.chdir(readme_workspace)
         code, err = self._evaluate(doc)
+        assert code == 2
+        assert "error:" in err
+
+    # more draws than the other fuzz tests: there are 66 (where, key, how) mutations
+    @settings(fuzz, max_examples=150)
+    @given(manifest_mutation())
+    def test_broken_manifest_exits_two(self, readme_workspace, monkeypatch, mutation):
+        monkeypatch.chdir(readme_workspace)
+        path = Path("dataset/readme/manifest.json")
+        original = path.read_text(encoding="utf-8")
+        manifest = json.loads(original)
+        mutate_manifest(manifest, *mutation)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        try:
+            code, err = self._evaluate(readme_config())
+        finally:
+            path.write_text(original, encoding="utf-8")
         assert code == 2
         assert "error:" in err
 

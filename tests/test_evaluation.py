@@ -1,9 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
 
-from confval.backend import MockBackend, MockBehavior, MockScript, truth_map
+import confval.prompting
+from confval.backend import BackendConfig, MockBackend, MockBehavior, MockScript, truth_map
 from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
 from confval.constraints import Subcategory
 from confval.evaluation import (
@@ -29,7 +31,7 @@ from confval.evaluation import (
 )
 from confval.misconfig_gen import InjectedFault, Label, LabeledFile
 from confval.pipeline import PipelineSettings, Verdict
-from confval.prompting import ShotDatabase, shot_from_labeled
+from confval.prompting import SelectionStrategy, ShotDatabase, shot_from_labeled
 
 
 def labeled_file(injected=None, names=None, project="demo"):
@@ -274,6 +276,47 @@ class TestRunEvaluation:
             )
 
         assert run(1).to_dict() == run(4).to_dict()
+
+    def test_cosine_workers_build_each_index_once(self, six_datasets, monkeypatch):
+        """Four workers rank against indexes built lazily on a fresh shot
+        database: each is built once, and the report matches one worker's."""
+        splits = {project: split for project, (_, split) in six_datasets.items()}
+        builds = []
+
+        class CountingIndex(confval.prompting.TfidfIndex):
+            def __init__(self, docs):
+                builds.append(docs)
+                super().__init__(docs)
+
+        monkeypatch.setattr(confval.prompting, "TfidfIndex", CountingIndex)
+
+        def run(jobs):
+            shot_db = ShotDatabase(
+                shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool
+            )
+            backend = MockBackend(
+                MockScript(
+                    MockBehavior.NOISE_WITH_RATE,
+                    truth=truth_map(splits.values()),
+                    noise_rate=0.2,
+                    seed=5,
+                ),
+                BackendConfig(max_parallel=jobs),
+            )
+            settings = PipelineSettings(seed=3, strategy=SelectionStrategy.COSINE_SIMILARITY)
+            return run_evaluation(splits, backend, shot_db, settings, jobs=jobs).to_dict()
+
+        serial = run(1)
+        serial_builds = len(builds)
+        builds.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+        try:
+            parallel = run(4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
+        assert len(builds) == serial_builds
 
     def test_all_malformed_records_failures(self, echo_setup):
         datasets, _, shot_db = echo_setup

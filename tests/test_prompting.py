@@ -22,9 +22,9 @@ from confval.prompting import (
     prompt_fingerprint,
     select_shots,
     shot_from_labeled,
-    split_file,
 )
 from confval.responses import ValidationResponse, misconfig_answer
+from confval.textsim import cosine, tfidf_vectors
 
 
 def small_file(project="demo", names=("a", "b"), value="1", fmt=ConfigFormat.XML):
@@ -235,6 +235,50 @@ class TestSelectShots:
         }
         assert fallbacks == set(splits)
 
+    def test_cosine_ranks_as_per_call_vectors(self, six_datasets):
+        """Indexed ranking picks the shots a frozen copy of the per-call ranking
+        does, same-project pool first, then the other projects'."""
+
+        def per_call_rank(target, pool, count):
+            if count == 0 or not pool:
+                return []
+            docs = [" ".join(shot.labeled.file.names()) for shot in pool]
+            vectors = tfidf_vectors([" ".join(target.names())] + docs)
+            scores = [cosine(vectors[0], vec) for vec in vectors[1:]]
+            order = sorted(range(len(docs)), key=lambda i: (-scores[i], i))
+            return [pool[i] for i in order[:count]]
+
+        def per_call_select(db, project, combo, target):
+            picked = []
+            for label, count in ((Label.VALID, combo.valid_count), (Label.MISCONFIG, combo.misconfig_count)):
+                shots = per_call_rank(target, db.pool(project, label), count)
+                shots += per_call_rank(target, db.other_pool(project, label), count - len(shots))
+                picked += shots
+            return picked
+
+        splits = {project: split for project, (_, split) in six_datasets.items()}
+        db = ShotDatabase(shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool)
+        assert len(db.pool("tinyreg", Label.MISCONFIG)) == 3
+        reached_fallback = set()
+        for split in splits.values():
+            for labeled in split.eval_set[::5]:
+                project = labeled.file.project
+                for combo in (DEFAULT_COMBINATION, ShotCombination(2, 5)):
+                    shots = select_shots(
+                        db, project, combo, SelectionStrategy.COSINE_SIMILARITY,
+                        random.Random(0), target=labeled.file,
+                    )
+                    assert shots == per_call_select(db, project, combo, labeled.file)
+                    reached_fallback |= {project for s in shots if s.source_project != project}
+        assert "tinyreg" in reached_fallback
+        total = sum(len(db.pool(project, Label.MISCONFIG)) for project in db.projects())
+        with pytest.raises(InsufficientShotsError, match=f"requested {total + 1} shots, only {total} available"):
+            select_shots(
+                db, "tinyreg", ShotCombination(0, total + 1), SelectionStrategy.COSINE_SIMILARITY,
+                random.Random(0), target=splits["tinyreg"].eval_set[0].file,
+            )
+
+
 class TestBuildPrompt:
     def test_zero_shot_prompt(self):
         target = small_file()
@@ -363,21 +407,3 @@ class TestFitToBudget:
         prompt = build_prompt(target, [])
         with pytest.raises(TokenBudgetExceededError):
             fit_to_budget(prompt, 10)
-
-
-class TestSplit:
-    def test_chunks_fit_and_cover(self):
-        target = small_file(names=tuple(f"p{i}" for i in range(12)), value="y" * 30)
-        whole = build_prompt(target, []).token_estimate
-        limit = whole // 3
-        chunks = split_file(target, limit)
-        assert len(chunks) >= 2
-        rebuilt = [e for chunk in chunks for e in chunk.entries]
-        assert tuple(rebuilt) == target.entries
-        for chunk in chunks:
-            assert build_prompt(chunk, []).token_estimate <= limit
-
-    def test_single_entry_over_limit_errors(self):
-        target = small_file(names=("p",), value="z" * 500)
-        with pytest.raises(TokenBudgetExceededError):
-            split_file(target, 5)

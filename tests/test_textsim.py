@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from confval import textsim
 from confval.textsim import (
+    TfidfIndex,
+    cosine,
     dominant_representative,
     medoid,
     rank_by_similarity,
     similarity_matrix,
     single_linkage_clusters,
+    tfidf_vectors,
     tokenize,
 )
 
@@ -91,7 +94,7 @@ def test_medoid_prefers_central_member():
 def test_rank_by_similarity_orders_by_overlap():
     query = "server port timeout"
     docs = ["disk cache eviction", "server port timeout", "server port"]
-    order = rank_by_similarity(query, docs)
+    order = rank_by_similarity(query, TfidfIndex(docs))
     assert order[0] == 1
     assert order[-1] == 0
 
@@ -141,3 +144,38 @@ def test_equal_documents_skip_clustering(monkeypatch):
     monkeypatch.setattr(textsim, "similarity_matrix", unexpected)
     assert dominant_representative(["same reason"] * 10) == "same reason"
     assert dominant_representative(["!!!"] * 3) == "!!!"
+
+
+# --- reference: ranking as it was before the pool's statistics were indexed ---
+
+
+def _reference_rank_by_similarity(query, docs):
+    vectors = tfidf_vectors([query] + docs)
+    query_vec = vectors[0]
+    scores = [cosine(query_vec, vec) for vec in vectors[1:]]
+    return sorted(range(len(docs)), key=lambda i: (-scores[i], i))
+
+
+# few words, so documents repeat terms and share them, and scores tie; the
+# permuted documents hold equal terms in another order, which ties only when
+# every sum runs in the reference's order
+RANK_WORDS = ["port", "dfs", "replication", "timeout", "server", "cache", "ms", "1", "!!!", ""]
+rank_documents = st.lists(st.sampled_from(RANK_WORDS), max_size=6).map(" ".join)
+
+
+@st.composite
+def rank_pools(draw):
+    shared = draw(st.lists(st.sampled_from(RANK_WORDS), min_size=3, max_size=6))
+    permuted = st.permutations(shared).map(" ".join)
+    return draw(st.lists(st.one_of(rank_documents, permuted), min_size=1, max_size=15))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(rank_documents, st.permutations(RANK_WORDS[:6]).map(" ".join)), rank_pools())
+def test_index_ranking_matches_reference(query, docs):
+    index = TfidfIndex(docs)
+    assert rank_by_similarity(query, index) == _reference_rank_by_similarity(query, docs)
+    vectors = tfidf_vectors([query] + docs)
+    assert index.cosines(query) == [cosine(vectors[0], vec) for vec in vectors[1:]]
+    # the index serves every query alike: a second one sees no state of the first
+    assert rank_by_similarity(docs[0], index) == _reference_rank_by_similarity(docs[0], docs)
