@@ -45,6 +45,7 @@ from .errors import (
     GenerationError,
     InsufficientShotsError,
     ResponseFormatError,
+    SchemaVersionError,
     SpecError,
     TokenBudgetExceededError,
     ValidationFailedError,

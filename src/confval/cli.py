@@ -19,8 +19,8 @@ from typing import Callable
 
 from .backend import Backend, BackendConfig, HttpBackend, MockBackend, MockBehavior, MockScript, truth_map
 from .config_model import load_config_file
-from .errors import ConfvalError, SpecError
-from .evaluation import MetricsReport, report_csv_tables, run_evaluation, run_sweep
+from .errors import ConfvalError, SpecError, check_schema_version
+from .evaluation import REPORT_SCHEMA_VERSION, MetricsReport, report_csv_tables, run_evaluation, run_sweep
 from .misconfig_gen import DatasetSplit, build_dataset, write_dataset
 from .pipeline import PipelineSettings, validate_file
 from .prompting import (
@@ -33,6 +33,8 @@ from .prompting import (
     shot_db_from,
 )
 from .constraints import load_spec_set
+
+CONFIG_SCHEMA_VERSION = 1
 
 # The JSON types each framework config key accepts, by section. A bool is
 # never a number here, although Python counts it as an int.
@@ -110,6 +112,7 @@ class FrameworkConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError(f"cannot read framework config {path}: {exc}") from exc
         _checked("", doc, _TOP_KEYS)
+        check_schema_version(doc, CONFIG_SCHEMA_VERSION, f"framework config {path}")
         shots = _checked("shots", doc.get("shots", {}), _SHOTS_KEYS)
         mock = _checked("mock", doc.get("mock", {}), _MOCK_KEYS)
         template = DEFAULT_QUESTION_TEMPLATE
@@ -227,7 +230,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 datasets, backend, shot_db, settings, max_shots=args.max_shots, jobs=args.jobs
             )
             doc = {
-                "schema_version": 1,
+                "schema_version": REPORT_SCHEMA_VERSION,
                 "sweep": {label: report.to_dict() for label, report in reports.items()},
             }
             systemic = all(r.files_scored == 0 for r in reports.values())
@@ -249,6 +252,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
     """Table lines for a report or sweep document, plus the rebuilt report."""
     if isinstance(doc, dict) and "sweep" in doc:
+        check_schema_version(doc, REPORT_SCHEMA_VERSION, "sweep document")
         lines = [f"{'combination':<12} {'file F1':>8} {'param F1':>9} {'files':>6}"]
         for label, entry in sorted(doc["sweep"].items()):
             report = MetricsReport.from_dict(entry)
@@ -281,7 +285,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         lines, report = _render_report(doc)
         tables = report_csv_tables(report) if args.csv and report else {}
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (ConfvalError, KeyError, TypeError, AttributeError, ValueError) as exc:
         _progress(f"error: malformed report {args.report}: {exc!r}")
         return 2
     if args.csv and report is None:

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from .config_model import ConfigFile, ConfigFormat
-from .errors import DependencyEvalError, SpecError, UnknownParameterError
+from .errors import DependencyEvalError, SpecError, UnknownParameterError, check_schema_version
 
 
 class ValueKind(Enum):
@@ -583,6 +583,7 @@ def spec_set_to_dict(specs: SpecSet) -> dict:
 
 
 def spec_set_from_dict(doc: dict) -> SpecSet:
+    check_schema_version(doc, SPEC_SCHEMA_VERSION, "spec document")
     try:
         project = doc["project"]
         version = doc["version"]

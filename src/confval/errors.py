@@ -1,4 +1,4 @@
-"""Shared exception hierarchy."""
+"""Shared exception hierarchy, and the schema_version check every loader makes."""
 
 
 class ConfvalError(Exception):
@@ -17,6 +17,21 @@ class ConfigParseError(ConfvalError):
 
 class SpecError(ConfvalError):
     """A parameter specification document is invalid."""
+
+
+class SchemaVersionError(ConfvalError):
+    """A document declares a schema_version this package does not read."""
+
+
+def check_schema_version(doc: object, supported: int, what: str) -> None:
+    """Raise SchemaVersionError when doc is a JSON object whose schema_version
+    is present and not the supported one; an absent one reads as supported."""
+    if isinstance(doc, dict) and "schema_version" in doc:
+        version = doc["schema_version"]
+        if type(version) is not int or version != supported:
+            raise SchemaVersionError(
+                f"{what} has schema_version {version!r}; only {supported} is supported"
+            )
 
 
 class UnknownParameterError(ConfvalError):

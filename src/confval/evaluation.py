@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from .backend import Backend
-from .errors import ConfvalError
+from .errors import ConfvalError, check_schema_version
 from .misconfig_gen import DatasetSplit, Label, LabeledFile
 from .pipeline import PipelineSettings, Verdict, validate_file
 from .prompting import SelectionStrategy, ShotDatabase, enumerate_shot_combinations
@@ -234,10 +234,12 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: object) -> "MetricsReport":
-        """Inverse of to_dict. Raises KeyError for a missing key and
-        ValueError for a part of the wrong JSON type."""
+        """Inverse of to_dict. Raises KeyError for a missing key, ValueError
+        for a part of the wrong JSON type and SchemaVersionError for a report
+        of another schema."""
         if not isinstance(doc, dict):
             raise ValueError("a report must be a JSON object")
+        check_schema_version(doc, REPORT_SCHEMA_VERSION, "report")
         doc = {"failures": [], **doc}
         for key, kind in _REPORT_TYPES.items():
             if isinstance(doc[key], bool) or not isinstance(doc[key], kind):

@@ -37,7 +37,7 @@ from .constraints import (
     oracle_validate,
     value_violation,
 )
-from .errors import GenerationError, SpecError
+from .errors import GenerationError, SpecError, check_schema_version
 
 MAX_ATTEMPTS = 40
 ENTRIES_PER_FILE = 8
@@ -634,7 +634,8 @@ def load_dataset(project_dir: str | Path) -> tuple[str, DatasetSplit]:
     """Read one project's corpus back from disk.
 
     Raises SpecError when the manifest is malformed or unreadable, or when a
-    file's content no longer matches the content_key its manifest row records.
+    file's content no longer matches the content_key its manifest row records,
+    and SchemaVersionError for a manifest of another schema.
     """
     manifest_path = Path(project_dir) / MANIFEST_NAME
     try:
@@ -648,6 +649,7 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
 
     project_dir = manifest_path.parent
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    check_schema_version(manifest, MANIFEST_SCHEMA_VERSION, f"dataset manifest {manifest_path}")
     project = _typed(manifest, "project", str)
     version = _typed(manifest, "version", str)
     shots: list[LabeledFile] = []

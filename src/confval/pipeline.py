@@ -9,14 +9,16 @@ of the response multiset.
 A file has num_queries slots, each allowed retry_bound + 1 attempts. A
 rejected or unparseable completion is discarded and its slot waits for a
 retry; a slot is lost on a BackendError or when its attempts run out. Slots
-are queried in settling waves: each wave is at most the fewest open slots
-whose answers could settle the vote, and querying stops once the leading key
-has more votes than the runner-up plus every open slot, so no remaining
-answer could change or tie the winner. Every first attempt goes before any retry,
-and every k-th before any (k+1)-th, which is the order of the paper's fixed
-rounds (every open slot at once); so an early-stopped run makes a prefix of
-that run's calls and, with answers that depend only on the call's position,
-votes for the same key.
+are queried in settling waves, and querying stops at the exact point where no
+answer the open slots could still give would change the winner: no other key,
+given every open slot, could beat the leader or take a tie from it under the
+tie-break above. The valid key wins every tie, so it also stands for every
+key not yet seen; a valid leader can at worst be tied by an unseen key. Each
+wave is the fewest answers after which some key already counted could be
+settled. Every first attempt goes before any retry, and every k-th before any
+(k+1)-th, which is the order of the paper's fixed rounds (every open slot at
+once); so an early-stopped run makes a prefix of that run's calls and, with
+answers that depend only on the call's position, votes for the same key.
 
 The vote counts a pool of answers and the reasons are clustered in sorted
 order, so neither depends on which thread served which slot, and parallel
@@ -45,18 +47,27 @@ from .prompting import (
     fit_to_budget,
     select_shots,
 )
-from .responses import ValidationResponse, parse_response, validate_response
+from .responses import ValidationResponse, parse_response, valid_answer, validate_response
 from .textsim import dominant_representative
 
 DEFAULT_NUM_QUERIES = 10
 DEFAULT_RETRY_BOUND = 3
+
+Key = tuple[bool, tuple[str, ...]]
+_VALID_KEY: Key = valid_answer().canonical_key()
+
+
+def _tie_rank(key: Key) -> tuple[int, tuple[str, ...]]:
+    """Among keys with equal votes the smallest rank wins: fewer flagged
+    parameters, then the smallest parameter tuple."""
+    return len(key[1]), key[1]
 
 
 @dataclass(frozen=True)
 class Verdict:
     """The voted aggregate over accepted responses."""
 
-    canonical_key: tuple[bool, tuple[str, ...]]
+    canonical_key: Key
     tally: int
     total_votes: int
     reasons: tuple[str, ...]
@@ -99,7 +110,7 @@ def vote(
     counts = Counter(r.canonical_key() for r in responses)
     best = max(counts.values())
     tied = [key for key, count in counts.items() if count == best]
-    winner = min(tied, key=lambda key: (len(key[1]), key[1]))
+    winner = min(tied, key=_tie_rank)
     reasons = tuple(_reasons_for_key(responses, winner)) if winner[0] else ()
     return Verdict(
         canonical_key=winner,
@@ -112,9 +123,7 @@ def vote(
     )
 
 
-def _reasons_for_key(
-    responses: list[ValidationResponse], key: tuple[bool, tuple[str, ...]]
-) -> list[str]:
+def _reasons_for_key(responses: list[ValidationResponse], key: Key) -> list[str]:
     """One representative reason per flagged parameter.
 
     For each parameter, the reasons paired with it across winning-key
@@ -158,17 +167,30 @@ class PipelineSettings:
 def _settling_wave(tally: Counter, open_slots: int) -> int:
     """How many open slots to query next; 0 once the vote is settled.
 
-    The vote is settled when the leader has more votes than the runner-up
-    plus every open slot: the inequality is strict, so not even the tie-break
-    can change the winner. Fewer than the returned number of further accepted
-    answers could not settle it, whatever they are.
+    The vote is settled when no other key, given every open slot, could beat
+    the winner or take a tie from it under vote's tie-break. Otherwise the
+    wave is the fewest further answers after which some counted key would be
+    settled, so fewer accepted answers could settle no counted key. With
+    nothing counted yet it is a majority of the open slots, although the
+    valid key alone could settle with half of them.
     """
-    top = tally.most_common(2)
-    leader = top[0][1] if top else 0
-    runner_up = top[1][1] if len(top) > 1 else 0
-    if leader > runner_up + open_slots:
-        return 0
-    return min(open_slots, (runner_up + open_slots - leader) // 2 + 1)
+    if not tally:
+        return min(open_slots, open_slots // 2 + 1)
+    return min(open_slots, *(_answers_to_settle(key, tally, open_slots) for key in tally))
+
+
+def _answers_to_settle(key: Key, tally: Counter, open_slots: int) -> int:
+    """The fewest further answers, all for key, after which no rival could
+    beat key or take a tie from it with every slot still open."""
+    rank = _tie_rank(key)
+    rivals = [(count, _tie_rank(other) < rank) for other, count in tally.items() if other != key]
+    # the valid key wins every tie, so it also stands for every unseen key;
+    # a valid key's rival among the unseen keys has no votes and loses ties
+    rivals.append((tally[_VALID_KEY], True) if key != _VALID_KEY else (0, False))
+    behind = open_slots - tally[key]
+    # x answers settle key against a rival once count + open - x < votes + x,
+    # or == when key wins their tie
+    return max(0, *((count + behind + wins_tie + 1) // 2 for count, wins_tie in rivals))
 
 
 def _target_rng(seed: int, content_key: str) -> random.Random:

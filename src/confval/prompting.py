@@ -14,6 +14,7 @@ import hashlib
 import math
 import random
 import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -23,7 +24,7 @@ from .config_model import ConfigFile, compress, frozen_cached_property, render_c
 from .errors import ConfvalError, InsufficientShotsError, TokenBudgetExceededError
 from .misconfig_gen import MANIFEST_NAME, DatasetSplit, Label, LabeledFile, load_dataset
 from .responses import ValidationResponse, misconfig_answer, valid_answer
-from .textsim import TfidfIndex, rank_by_similarity
+from .textsim import TfidfIndex, rank_by_similarity, term_counts
 
 DEFAULT_QUESTION_TEMPLATE = (
     "Are there any mistakes in the above configuration file for [PROJECT] "
@@ -213,7 +214,7 @@ def _names_doc(file: ConfigFile) -> str:
 
 
 def _rank_by_cosine(
-    db: ShotDatabase, project: str, label: Label, target_doc: str, count: int
+    db: ShotDatabase, project: str, label: Label, target_terms: Counter, count: int
 ) -> list[Shot]:
     """The count shots nearest the target, from its own project's pool first."""
     picked: list[Shot] = []
@@ -224,7 +225,7 @@ def _rank_by_cosine(
         pool, index = db.ranked_pool(project, label, own)
         available += len(pool)
         if pool:
-            order = rank_by_similarity(target_doc, index)
+            order = rank_by_similarity(target_terms, index)
             picked += [pool[i] for i in order[: count - len(picked)]]
     if len(picked) < count:
         raise InsufficientShotsError(f"requested {count} shots, only {available} available")
@@ -247,9 +248,9 @@ def select_shots(
     similarity to the target instead of sampling.
     """
     if strategy is SelectionStrategy.COSINE_SIMILARITY and target is not None:
-        target_doc = _names_doc(target)
-        valid = _rank_by_cosine(db, project, Label.VALID, target_doc, combo.valid_count)
-        misconfig = _rank_by_cosine(db, project, Label.MISCONFIG, target_doc, combo.misconfig_count)
+        target_terms = term_counts(_names_doc(target))
+        valid = _rank_by_cosine(db, project, Label.VALID, target_terms, combo.valid_count)
+        misconfig = _rank_by_cosine(db, project, Label.MISCONFIG, target_terms, combo.misconfig_count)
         return valid + misconfig
 
     valid_primary = db.pool(project, Label.VALID)

@@ -71,8 +71,8 @@ def parse_response(text: str) -> ValidationResponse:
     """Extract the one top-level JSON object from a completion and map fields.
 
     Code fences are stripped first; prose around the object is ignored. No
-    object, an ill-typed field, or several distinct objects are format errors
-    (the pipeline treats those as retryable).
+    object, an ill-typed field, or more than one object (an identical copy
+    included) are format errors (the pipeline treats those as retryable).
     """
     objects: list[dict] = []
     for region in _candidate_regions(text):

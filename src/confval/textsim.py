@@ -7,8 +7,9 @@ cosine similarity is a plain dot product.
 Ranking a fixed pool against many queries goes through a TfidfIndex, built
 once per pool. It keeps each document's terms in first-occurrence order with
 the two weights each can take: the query either lacks the term (df) or has
-it (df + 1), since the query joins the collection. A ranking then costs work
-in the pool's term count and re-tokenises nothing. Its sums and products run in
+it (df + 1), since the query joins the collection. A ranking takes the
+query's term counts, so a query ranked against several pools is tokenised
+once, and costs work in the pool's term count. Its sums and products run in
 the order tfidf_vectors and cosine use, so every score, and every ranking, is
 bit-identical to building the vectors of [query] + docs per call.
 
@@ -30,12 +31,16 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def term_counts(text: str) -> Counter:
+    return Counter(tokenize(text))
+
+
 def _idf(n: int, df: int) -> float:
     return math.log((1 + n) / (1 + df)) + 1.0
 
 
 def tfidf_vectors(docs: list[str]) -> list[dict[str, float]]:
-    counts = [Counter(tokenize(doc)) for doc in docs]
+    counts = [term_counts(doc) for doc in docs]
     n = len(docs)
     df: Counter = Counter()
     for c in counts:
@@ -131,7 +136,7 @@ class TfidfIndex:
     """
 
     def __init__(self, docs: Sequence[str]):
-        counts = [Counter(tokenize(doc)) for doc in docs]
+        counts = [term_counts(doc) for doc in docs]
         df: Counter = Counter()
         for c in counts:
             df.update(c.keys())
@@ -150,11 +155,11 @@ class TfidfIndex:
                 rows.append((t, w0, w1, w0 * w0, w1 * w1))
             self._docs.append(rows)
 
-    def cosines(self, query: str) -> list[float]:
-        """Cosine of each document to the query, bit-identical to cosine() over
-        tfidf_vectors([query] + docs)."""
+    def cosines(self, query_terms: Counter) -> list[float]:
+        """Cosine of each document to the query whose term_counts are given,
+        bit-identical to cosine() over tfidf_vectors([query] + docs)."""
         query_vec = {}
-        for t, tf in Counter(tokenize(query)).items():
+        for t, tf in query_terms.items():
             idf = self._idf.get(t)
             query_vec[t] = tf * (idf[1] if idf else self._unseen_idf)
         # every weight is at least 1, so a norm is 0 only for an empty vector
@@ -173,8 +178,8 @@ class TfidfIndex:
         return scores
 
 
-def rank_by_similarity(query: str, index: TfidfIndex) -> list[int]:
+def rank_by_similarity(query_terms: Counter, index: TfidfIndex) -> list[int]:
     """Indices of the index's documents sorted by descending cosine to the
-    query; stable."""
-    scores = index.cosines(query)
+    query whose term_counts are given; stable."""
+    scores = index.cosines(query_terms)
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -390,6 +391,33 @@ class TestExitCodeContract:
         assert result.stdout == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("document", ["config", "manifest", "spec", "report", "sweep"])
+    def test_document_of_another_schema(self, workspace, document):
+        tmp = workspace["tmp"]
+        config = write_config(tmp, schema_version=2 if document == "config" else 1)
+        evaluate = ["evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config)]
+        if document in ("report", "sweep"):
+            report = tmp / "report.json"
+            sweep = ["--sweep", "--max-shots", "1"] if document == "sweep" else []
+            assert main([*evaluate, *sweep, "--report", str(report)]) == 0
+            doc = json.loads(report.read_text(encoding="utf-8"))
+            report.write_text(json.dumps({**doc, "schema_version": 99}), encoding="utf-8")
+            result = run_cli("report", "--report", str(report))
+        elif document == "spec":
+            doc = json.loads(workspace["spec_path"].read_text(encoding="utf-8"))
+            spec = tmp / "spec99.json"
+            spec.write_text(json.dumps({**doc, "schema_version": 99}), encoding="utf-8")
+            result = run_cli("gen-dataset", "--spec", str(spec), "--out", str(tmp / "out99"))
+            assert not (tmp / "out99").exists()
+        else:
+            if document == "manifest":
+                path = workspace["dataset"] / "clitest" / "manifest.json"
+                manifest = json.loads(path.read_text(encoding="utf-8"))
+                path.write_text(json.dumps({**manifest, "schema_version": 99}), encoding="utf-8")
+            result = run_cli(*evaluate)
+        self._assert_operational_error(result, "only 1 is supported")
+        assert result.stdout == ""
+
     def test_report_without_per_project(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"schema_version": 1}), encoding="utf-8")
@@ -510,6 +538,9 @@ ACCEPTED = {
     ("mock", "truth_from"): {"string", "null"},
 }
 NON_OBJECT = st.one_of(*(strategy for kind, strategy in JSON_KINDS.items() if kind != "object"))
+# every document that carries a schema_version: the framework config, a corpus
+# manifest, a spec document, a report, and a sweep document or one of its entries
+VERSIONED = ("config", "manifest", "spec", "report", "sweep", "sweep entry")
 REPORT_KEYS = ("per_project", "macro", "micro_f1_by_subcategory", "f1_by_param_count", "files_scored")
 REPORT_SECTIONS = REPORT_KEYS[:4]
 
@@ -606,6 +637,31 @@ class TestBoundaryFuzz:
         Path("confval.json").write_text(json.dumps(doc), encoding="utf-8")
         return run_main("evaluate", "--dataset", "dataset", "--config", "confval.json")
 
+    def _with_schema_version(self, document, version) -> tuple[int, str]:
+        """The command that reads the document, run on it with the version set."""
+        if document == "config":
+            return self._evaluate({**readme_config(), "schema_version": version})
+        if document == "manifest":
+            path = Path("dataset/readme/manifest.json")
+            original = path.read_text(encoding="utf-8")
+            path.write_text(json.dumps({**json.loads(original), "schema_version": version}), encoding="utf-8")
+            try:
+                return self._evaluate(readme_config())
+            finally:
+                path.write_text(original, encoding="utf-8")
+        if document == "spec":
+            doc = json.loads(Path("spec.json").read_text(encoding="utf-8"))
+            Path("versioned.json").write_text(json.dumps({**doc, "schema_version": version}), encoding="utf-8")
+            shutil.rmtree("versioned", ignore_errors=True)
+            return run_main("gen-dataset", "--spec", "versioned.json", "--out", "versioned")
+        if document == "report":
+            return self._report(lambda doc: {**doc, "schema_version": version})
+        if document == "sweep":
+            return self._report(lambda doc: {"schema_version": version, "sweep": {"0v1m": doc}})
+        return self._report(
+            lambda doc: {"schema_version": 1, "sweep": {"0v1m": {**doc, "schema_version": version}}}
+        )
+
     def _report(self, mutate) -> tuple[int, str]:
         doc = json.loads(Path("report.json").read_text(encoding="utf-8"))
         Path("mutated.json").write_text(json.dumps(mutate(doc)), encoding="utf-8")
@@ -644,6 +700,19 @@ class TestBoundaryFuzz:
             code, err = self._evaluate(readme_config())
         finally:
             path.write_text(original, encoding="utf-8")
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("document", VERSIONED)
+    def test_supported_schema_version_succeeds(self, readme_workspace, monkeypatch, document):
+        monkeypatch.chdir(readme_workspace)
+        assert self._with_schema_version(document, 1)[0] == 0
+
+    @fuzz
+    @given(st.sampled_from(VERSIONED), st.one_of(st.integers().filter(lambda v: v != 1), st.booleans()))
+    def test_unsupported_schema_version_exits_two(self, readme_workspace, monkeypatch, document, version):
+        monkeypatch.chdir(readme_workspace)
+        code, err = self._with_schema_version(document, version)
         assert code == 2
         assert "error:" in err
 

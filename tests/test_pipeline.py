@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +22,7 @@ from confval.backend import (
 )
 from confval.errors import ValidationFailedError
 from confval.misconfig_gen import Label, build_dataset
-from confval.pipeline import PipelineSettings, Verdict, validate_file, vote
+from confval.pipeline import PipelineSettings, Verdict, _settling_wave, validate_file, vote
 from confval.prompting import ShotCombination, ShotDatabase, build_prompt, shot_from_labeled
 from confval.responses import ValidationResponse, misconfig_answer, valid_answer
 
@@ -404,8 +406,45 @@ def bare_target():
     return first_eval(dataset, Label.MISCONFIG).file
 
 
+def strict_margin_wave(tally, open_slots):
+    """The earlier stop rule, frozen: settled only once the leader has more
+    votes than the runner-up plus every open slot, blind to the tie-break."""
+    top = tally.most_common(2)
+    leader = top[0][1] if top else 0
+    runner_up = top[1][1] if len(top) > 1 else 0
+    if leader > runner_up + open_slots:
+        return 0
+    return min(open_slots, (runner_up + open_slots - leader) // 2 + 1)
+
+
+# the valid key and two misconfig keys to count, and a key no answer has
+# given yet, which wins a tie against both misconfig keys
+COUNTED = (valid_answer().canonical_key(), (True, ("b",)), (True, ("a", "b")))
+UNSEEN = (True, ("a",))
+
+
+@functools.cache
+def vote_winner(counts):
+    """vote's winning key over counts[i] answers for (COUNTED + (UNSEEN,))[i]."""
+    keys = COUNTED + (UNSEEN,)
+    responses = [
+        ValidationResponse(key[0], key[1], key[1]) for key, n in zip(keys, counts) for _ in range(n)
+    ]
+    return vote(responses).canonical_key
+
+
+def outcomes(slots):
+    """Every way that many more slots can end: how many answer each of the
+    four keys; the rest give no answer."""
+    for counts in itertools.product(range(slots + 1), repeat=4):
+        if sum(counts) <= slots:
+            yield counts
+
+
 class TestStopRule:
-    def _run(self, target, num_queries, retry_bound, texts, early_stop):
+    def _run(self, target, num_queries, retry_bound, texts, wave_rule=None):
+        """validate_file over scripted completions, with wave_rule in place of
+        _settling_wave when one is given: (verdict or None, calls made)."""
         settings = PipelineSettings(
             num_queries=num_queries, retry_bound=retry_bound, combination=ShotCombination(0, 0)
         )
@@ -414,29 +453,64 @@ class TestStopRule:
             MockScript(MockBehavior.ALWAYS_VALID, responses={(fp, i): t for i, t in enumerate(texts)})
         )
         with pytest.MonkeyPatch.context() as patch:
-            if not early_stop:
-                patch.setattr(confval.pipeline, "_settling_wave", every_open_slot)
+            if wave_rule is not None:
+                patch.setattr(confval.pipeline, "_settling_wave", wave_rule)
             try:
                 verdict = validate_file(target, backend, ShotDatabase([]), settings)
             except ValidationFailedError:
                 verdict = None
         return verdict, backend.total_calls
 
+    def test_stop_is_exact(self):
+        """For every tally over three keys and every open count up to 7 slots
+        in all, the vote is settled exactly when no way the open slots can
+        end changes the winner; and no outcome of fewer slots than a wave
+        settles it."""
+        for *counts, open_slots in itertools.product(range(8), repeat=4):
+            if not any(counts) or sum(counts) + open_slots > 7:
+                continue
+            tally = Counter({key: n for key, n in zip(COUNTED, counts) if n})
+            now = vote_winner((*counts, 0))
+            unchanged = all(
+                vote_winner(tuple(c + e for c, e in zip((*counts, 0), extra))) == now
+                for extra in outcomes(open_slots)
+            )
+            wave = _settling_wave(tally, open_slots)
+            assert (wave == 0) == unchanged, (counts, open_slots, wave)
+            for extra in outcomes(wave - 1):
+                grown = tally + Counter(dict(zip(COUNTED + (UNSEEN,), extra)))
+                for ended in range(sum(extra), wave):
+                    assert _settling_wave(grown, open_slots - ended) > 0, (counts, extra, ended)
+        for open_slots in range(1, 8):
+            assert _settling_wave(Counter(), open_slots) == open_slots // 2 + 1
+
     @settings(max_examples=200, deadline=None)
     @given(answer_scripts())
     def test_early_stop_keeps_the_key_and_saves_calls(self, bare_target, script):
         num_queries, retry_bound, texts = script
-        full, full_calls = self._run(bare_target, num_queries, retry_bound, texts, False)
-        early, early_calls = self._run(bare_target, num_queries, retry_bound, texts, True)
-        assert early_calls <= full_calls <= num_queries * (retry_bound + 1)
+        full, full_calls = self._run(bare_target, num_queries, retry_bound, texts, every_open_slot)
+        strict, strict_calls = self._run(bare_target, num_queries, retry_bound, texts, strict_margin_wave)
+        early, early_calls = self._run(bare_target, num_queries, retry_bound, texts)
+        assert early_calls <= strict_calls <= full_calls <= num_queries * (retry_bound + 1)
         # waves take the lowest attempt number first, so the early-stopped run
         # makes a prefix of the full run's calls: the same key, even where
         # slots run out of retries
         assert (early is None) == (full is None)
         if full is not None:
-            assert early.canonical_key == full.canonical_key
+            assert early.canonical_key == full.canonical_key == strict.canonical_key
             assert early.discarded_count <= full.discarded_count
             assert early.tally <= full.tally
+
+    def test_valid_leader_that_can_at_worst_be_tied_stops(self, bare_target):
+        # 5 valid answers and 1 rejected in the first wave of 6: the 5 open
+        # slots could at most tie the valid key, which wins every tie
+        texts = [valid_answer().to_json()] * 5 + [MALFORMED_TEXT] + [valid_answer().to_json()] * 34
+        verdict, calls = self._run(bare_target, 10, 3, texts)
+        assert calls == 6
+        assert verdict.canonical_key == (False, ())
+        assert (verdict.tally, verdict.discarded_count) == (5, 1)
+        # a strict margin asks once more, for 6 votes against 4 open slots
+        assert self._run(bare_target, 10, 3, texts, strict_margin_wave)[1] == 7
 
     @settings(max_examples=100, deadline=None)
     @given(answer_scripts(), st.randoms(use_true_random=False))
@@ -444,7 +518,7 @@ class TestStopRule:
         """Parallel slots take call indices in whatever order their threads run;
         a wave whose results come back in any order must give the same verdict."""
         num_queries, retry_bound, texts = script
-        expected = self._run(bare_target, num_queries, retry_bound, texts, True)
+        expected = self._run(bare_target, num_queries, retry_bound, texts)
         original = confval.pipeline.query_batch
 
         def shuffled(backend, prompt, count):
@@ -454,7 +528,7 @@ class TestStopRule:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(confval.pipeline, "query_batch", shuffled)
-            verdict, calls = self._run(bare_target, num_queries, retry_bound, texts, True)
+            verdict, calls = self._run(bare_target, num_queries, retry_bound, texts)
         assert calls == expected[1]
         if verdict is None:
             assert expected[0] is None

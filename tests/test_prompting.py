@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confval.prompting
+import confval.textsim
 from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat, render_config
 from confval.constraints import Subcategory
 from confval.errors import InsufficientShotsError, TokenBudgetExceededError
@@ -179,6 +180,28 @@ class TestSelectShots:
             target=target,
         )
         assert shots[0].labeled.file.names()[0] == "m2"
+
+    def test_cosine_tokenises_the_target_once(self, monkeypatch):
+        db = make_db()
+        target = small_file("demo", ("m2", "x"))
+
+        def select():
+            # 5 of each label: the own pool of 4 and then the other project's
+            return select_shots(
+                db, "demo", ShotCombination(5, 5), SelectionStrategy.COSINE_SIMILARITY,
+                random.Random(0), target=target,
+            )
+
+        expected = select()  # builds the four pool indexes
+        tokenised, ranked = [], []
+        tokenize, rank = confval.textsim.tokenize, confval.prompting.rank_by_similarity
+        monkeypatch.setattr(confval.textsim, "tokenize", lambda text: tokenised.append(text) or tokenize(text))
+        monkeypatch.setattr(
+            confval.prompting, "rank_by_similarity", lambda *args: ranked.append(1) or rank(*args)
+        )
+        assert select() == expected
+        assert tokenised == ["m2 x"]
+        assert len(ranked) == 4
 
 
     @pytest.mark.parametrize(

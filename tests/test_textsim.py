@@ -12,6 +12,7 @@ from confval.textsim import (
     rank_by_similarity,
     similarity_matrix,
     single_linkage_clusters,
+    term_counts,
     tfidf_vectors,
     tokenize,
 )
@@ -94,7 +95,7 @@ def test_medoid_prefers_central_member():
 def test_rank_by_similarity_orders_by_overlap():
     query = "server port timeout"
     docs = ["disk cache eviction", "server port timeout", "server port"]
-    order = rank_by_similarity(query, TfidfIndex(docs))
+    order = rank_by_similarity(term_counts(query), TfidfIndex(docs))
     assert order[0] == 1
     assert order[-1] == 0
 
@@ -174,8 +175,9 @@ def rank_pools(draw):
 @given(st.one_of(rank_documents, st.permutations(RANK_WORDS[:6]).map(" ".join)), rank_pools())
 def test_index_ranking_matches_reference(query, docs):
     index = TfidfIndex(docs)
-    assert rank_by_similarity(query, index) == _reference_rank_by_similarity(query, docs)
+    terms = term_counts(query)
+    assert rank_by_similarity(terms, index) == _reference_rank_by_similarity(query, docs)
     vectors = tfidf_vectors([query] + docs)
-    assert index.cosines(query) == [cosine(vectors[0], vec) for vec in vectors[1:]]
+    assert index.cosines(terms) == [cosine(vectors[0], vec) for vec in vectors[1:]]
     # the index serves every query alike: a second one sees no state of the first
-    assert rank_by_similarity(docs[0], index) == _reference_rank_by_similarity(docs[0], docs)
+    assert rank_by_similarity(term_counts(docs[0]), index) == _reference_rank_by_similarity(docs[0], docs)
