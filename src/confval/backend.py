@@ -192,33 +192,21 @@ def truth_map(splits) -> dict[str, str]:
 
 
 class MockBackend(Backend):
-    """Deterministic offline backend with concurrency instrumentation."""
+    """Deterministic offline backend: each answer is a pure function of
+    (seed, prompt fingerprint, per-prompt call index)."""
 
-    def __init__(self, script: MockScript, config: BackendConfig | None = None, delay: float = 0.0):
+    def __init__(self, script: MockScript, config: BackendConfig | None = None):
         self.script = script
         self.config = config or BackendConfig()
-        self.delay = delay
         self._lock = threading.Lock()
         self._calls: dict[str, int] = {}
-        self._in_flight = 0
-        self.max_in_flight_seen = 0
-        self.total_calls = 0
 
     def query(self, prompt: Prompt) -> str:
         fingerprint = prompt.fingerprint
         with self._lock:
             index = self._calls.get(fingerprint, 0)
             self._calls[fingerprint] = index + 1
-            self.total_calls += 1
-            self._in_flight += 1
-            self.max_in_flight_seen = max(self.max_in_flight_seen, self._in_flight)
-        try:
-            if self.delay:
-                time.sleep(self.delay)
-            return self._respond(prompt, fingerprint, index)
-        finally:
-            with self._lock:
-                self._in_flight -= 1
+        return self._respond(prompt, fingerprint, index)
 
     def _respond(self, prompt: Prompt, fingerprint: str, index: int) -> str:
         scripted = self.script.responses.get((fingerprint, index))
@@ -331,8 +319,15 @@ class HttpBackend(Backend):
             raise BackendError(f"server error (HTTP {status})", "http", retryable=True)
         try:
             body = response.json()
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(
                 f"unexpected response shape: {exc}", "protocol", retryable=False
             ) from exc
+        if not isinstance(content, str):
+            raise BackendError(
+                f"completion content is {type(content).__name__}, not a string",
+                "protocol",
+                retryable=False,
+            )
+        return content

@@ -1,4 +1,4 @@
-"""Configuration file model: parse, render, compress, diff handling.
+"""Configuration file model: parse, render and compress.
 
 Two on-disk dialects are supported:
 
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .errors import ConfigParseError, ConfvalError
+from .errors import ConfigParseError
 
 
 class frozen_cached_property(cached_property):
@@ -43,10 +43,6 @@ class frozen_cached_property(cached_property):
 class ConfigFormat(Enum):
     XML = "xml"
     INI = "ini"
-
-
-class EmptyDiffError(ConfvalError):
-    """A diff with no changed and no removed entries cannot become a snippet."""
 
 
 @dataclass(frozen=True)
@@ -117,22 +113,6 @@ class ConfigFile:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class ConfigDiff:
-    """A change set against an optional base file."""
-
-    base: ConfigFile | None
-    changed: tuple[ConfigEntry, ...]
-    removed: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "changed", tuple(self.changed))
-        object.__setattr__(self, "removed", tuple(self.removed))
-        overlap = {e.name for e in self.changed} & set(self.removed)
-        if overlap:
-            raise ValueError(f"changed and removed overlap: {sorted(overlap)}")
-
-
 def parse_config(text: str, format: ConfigFormat, project: str, version: str) -> ConfigFile:
     """Parse a document in the given format, preserving entry order.
 
@@ -166,37 +146,6 @@ def compress(file: ConfigFile) -> ConfigFile:
         format=ConfigFormat.INI,
         entries=file.entries,
     )
-
-
-def diff_to_snippet(
-    diff: ConfigDiff,
-    project: str | None = None,
-    version: str | None = None,
-) -> ConfigFile:
-    """Turn a diff into a compact snippet file holding only changed entries.
-
-    Descriptions missing from the changed entries are inherited from the base
-    file. Removed parameters never appear in the snippet; they are the version
-    oracle's concern.
-    """
-    if not diff.changed and not diff.removed:
-        raise EmptyDiffError("diff has no changed and no removed entries")
-    if not diff.changed:
-        raise EmptyDiffError("diff has only removals; nothing to validate as a snippet")
-    base = diff.base
-    entries = []
-    for entry in diff.changed:
-        desc = entry.description
-        if desc is None and base is not None:
-            base_entry = base.get(entry.name)
-            if base_entry is not None:
-                desc = base_entry.description
-        entries.append(ConfigEntry(entry.name, entry.value, desc))
-    project = project or (base.project if base else None)
-    version = version or (base.version if base else None)
-    if not project or not version:
-        raise ValueError("snippet needs a project and version (from base or arguments)")
-    return ConfigFile(project=project, version=version, format=ConfigFormat.INI, entries=tuple(entries))
 
 
 def load_config_file(
@@ -288,12 +237,14 @@ def _render_xml(file: ConfigFile) -> str:
 
 
 # --- INI dialect ---
-# Escapes keep the one-line-per-entry shape reversible: backslash and '=' in
-# names, backslash and newline in values.
+# Escapes keep the one-line-per-entry shape reversible: backslash, '=' and a
+# leading '#' (which would read as a comment) in names, backslash and newline
+# in values.
 
 
 def _escape_ini_name(name: str) -> str:
-    return name.replace("\\", "\\\\").replace("=", "\\=")
+    escaped = name.replace("\\", "\\\\").replace("=", "\\=")
+    return "\\" + escaped if escaped.startswith("#") else escaped
 
 
 def _escape_ini_value(value: str) -> str:

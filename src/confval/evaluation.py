@@ -24,7 +24,7 @@ from .pipeline import PipelineSettings, Verdict, validate_file
 from .prompting import SelectionStrategy, ShotDatabase, enumerate_shot_combinations
 
 REPORT_SCHEMA_VERSION = 1
-DEFAULT_BUCKET_EDGES = (4, 8, 16, 32)
+BUCKET_EDGES = (4, 8, 16, 32)
 
 
 class Level(Enum):
@@ -182,23 +182,17 @@ def bucket_label(count: int, edges: tuple[int, ...]) -> str:
     return f">{edges[-1]}"
 
 
-def bucket_by_param_count(
-    results: list[ScoredFile], edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES
-) -> dict[str, float]:
-    """Parameter-level F1 per file-size bucket; empty buckets are omitted."""
+def bucket_by_param_count(results: list[ScoredFile]) -> dict[str, float]:
+    """Parameter-level F1 per file-size bucket of BUCKET_EDGES, smallest
+    first; empty buckets are omitted."""
     pooled: dict[str, ConfusionMatrix] = {}
     for r in results:
-        label = bucket_label(r.entry_count, edges)
+        label = bucket_label(r.entry_count, BUCKET_EDGES)
         pooled[label] = pooled.get(label, ConfusionMatrix(Level.PARAMETER)).merge(r.param_cm)
-    ordered = sorted(pooled, key=lambda lbl: _bucket_sort_key(lbl, edges))
-    return {label: f1(pooled[label]) for label in ordered}
-
-
-def _bucket_sort_key(label: str, edges: tuple[int, ...]) -> int:
-    for i, edge in enumerate(edges):
-        if label.endswith(str(edge)) and not label.startswith(">"):
-            return i
-    return len(edges)
+    # one size from each bucket, smallest bucket first
+    sizes = BUCKET_EDGES + (BUCKET_EDGES[-1] + 1,)
+    labels = [bucket_label(size, BUCKET_EDGES) for size in sizes]
+    return {label: f1(pooled[label]) for label in labels if label in pooled}
 
 
 # the JSON type of each top-level report key; only failures may be absent
@@ -271,11 +265,7 @@ def _level_metrics(cm: ConfusionMatrix) -> dict[str, float]:
     }
 
 
-def build_report(
-    results: list[ScoredFile],
-    failures: list[dict] = (),
-    bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES,
-) -> MetricsReport:
+def build_report(results: list[ScoredFile], failures: list[dict] = ()) -> MetricsReport:
     projects = sorted({r.project for r in results})
     per_project: dict[str, dict[str, dict[str, float]]] = {}
     for project in projects:
@@ -298,7 +288,7 @@ def build_report(
         per_project=per_project,
         macro=macro,
         micro_f1_subcategory=micro_f1_by_subcategory(results),
-        f1_by_param_count=bucket_by_param_count(results, bucket_edges),
+        f1_by_param_count=bucket_by_param_count(results),
         files_scored=len(results),
         failures=tuple(failures),
     )
@@ -341,7 +331,6 @@ def run_evaluation(
     shot_db: ShotDatabase,
     settings: PipelineSettings = PipelineSettings(),
     jobs: int = 1,
-    bucket_edges: tuple[int, ...] = DEFAULT_BUCKET_EDGES,
 ) -> MetricsReport:
     """Validate every eval-set file and score it; per-file failures are
     recorded in the report instead of aborting the run."""
@@ -373,7 +362,7 @@ def run_evaluation(
 
     results = [scored for scored, _ in outcomes if scored is not None]
     failures = [failure for _, failure in outcomes if failure is not None]
-    return build_report(results, failures, bucket_edges)
+    return build_report(results, failures)
 
 
 def run_sweep(

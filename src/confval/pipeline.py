@@ -30,10 +30,10 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backend import Backend, query_batch
-from .config_model import ConfigDiff, ConfigFile, diff_to_snippet
+from .config_model import ConfigFile
 from .errors import BackendError, ResponseFormatError, ValidationFailedError
 from .prompting import (
     DEFAULT_COMBINATION,
@@ -41,9 +41,7 @@ from .prompting import (
     SelectionStrategy,
     ShotCombination,
     ShotDatabase,
-    TokenEstimator,
     build_prompt,
-    estimate_tokens,
     fit_to_budget,
     select_shots,
 )
@@ -155,7 +153,6 @@ class PipelineSettings:
     retry_bound: int = DEFAULT_RETRY_BOUND
     seed: int = 0
     question_template: str = DEFAULT_QUESTION_TEMPLATE
-    estimator: TokenEstimator = field(default=estimate_tokens)
 
     def __post_init__(self):
         if self.num_queries < 1:
@@ -199,7 +196,7 @@ def _target_rng(seed: int, content_key: str) -> random.Random:
 
 
 def validate_file(
-    target: ConfigFile | ConfigDiff,
+    target: ConfigFile,
     backend: Backend,
     shot_db: ShotDatabase,
     settings: PipelineSettings = PipelineSettings(),
@@ -213,8 +210,6 @@ def validate_file(
     TokenBudgetExceededError when the target cannot fit and
     ValidationFailedError when no slot ever yields an accepted response.
     """
-    if isinstance(target, ConfigDiff):
-        target = diff_to_snippet(target)
     rng = _target_rng(settings.seed, target.content_key())
     shots = select_shots(
         shot_db,
@@ -225,8 +220,8 @@ def validate_file(
         target=target,
         target_subcategory=target_subcategory,
     )
-    prompt = build_prompt(target, shots, settings.question_template, settings.estimator)
-    prompt = fit_to_budget(prompt, backend.config.token_limit, settings.estimator)
+    prompt = build_prompt(target, shots, settings.question_template)
+    prompt = fit_to_budget(prompt, backend.config.token_limit)
 
     accepted: list[ValidationResponse] = []
     tally: Counter = Counter()

@@ -15,10 +15,10 @@ import math
 import random
 import threading
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .config_model import ConfigFile, compress, frozen_cached_property, render_config
 from .errors import ConfvalError, InsufficientShotsError, TokenBudgetExceededError
@@ -33,8 +33,6 @@ DEFAULT_QUESTION_TEMPLATE = (
     '"reason": ["explanation of the mistake"]}'
 )
 
-TokenEstimator = Callable[[str], int]
-
 
 def estimate_tokens(text: str) -> int:
     """Default budget heuristic: one token per four characters, rounded up."""
@@ -43,25 +41,22 @@ def estimate_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class Shot:
-    """A labeled example file plus the answer the model should produce."""
+    """A labeled example file; the answer the model should produce follows
+    from its label."""
 
     labeled: LabeledFile
-    ground_truth_answer: ValidationResponse
-    source_project: str
-
-    def __post_init__(self):
-        answer = self.ground_truth_answer
-        if self.labeled.label is Label.VALID:
-            if answer.hasError or answer.errParameter or answer.reason:
-                raise ValueError("valid shot must answer hasError=false with empty arrays")
-        else:
-            injected = self.labeled.injected
-            if not answer.hasError or answer.errParameter != (injected.parameter,):
-                raise ValueError("misconfig shot must flag exactly the injected parameter")
 
     @property
     def label(self) -> Label:
         return self.labeled.label
+
+    @property
+    def ground_truth_answer(self) -> ValidationResponse:
+        return labeled_answer(self.labeled)
+
+    @property
+    def source_project(self) -> str:
+        return self.labeled.file.project
 
     # A shot is frozen, so its file is rendered and its answer serialised once,
     # however many prompts it goes into.
@@ -83,7 +78,7 @@ def labeled_answer(labeled: LabeledFile) -> ValidationResponse:
 
 
 def shot_from_labeled(labeled: LabeledFile) -> Shot:
-    return Shot(labeled, labeled_answer(labeled), labeled.file.project)
+    return Shot(labeled)
 
 
 @dataclass(frozen=True)
@@ -279,8 +274,6 @@ def prompt_fingerprint(text: str) -> str:
 class Prompt:
     """Rendered prompt plus everything needed to rebuild it under a budget."""
 
-    project: str
-    version: str
     target: ConfigFile
     shots: tuple[Shot, ...]
     question_template: str
@@ -301,7 +294,6 @@ def build_prompt(
     target: ConfigFile,
     shots: list[Shot],
     question_template: str = DEFAULT_QUESTION_TEMPLATE,
-    estimator: TokenEstimator = estimate_tokens,
 ) -> Prompt:
     """Assemble shot blocks (valid ones first), the target file, and the
     directive question."""
@@ -324,13 +316,11 @@ def build_prompt(
     )
     text = "\n\n".join(blocks)
     return Prompt(
-        project=target.project,
-        version=target.version,
         target=target,
         shots=tuple(ordered),
         question_template=question_template,
         text=text,
-        token_estimate=estimator(text),
+        token_estimate=estimate_tokens(text),
     )
 
 
@@ -344,23 +334,19 @@ def _shot_subsets(shots: tuple[Shot, ...]) -> Iterable[list[Shot]]:
         yield miscs[:nm]
 
 
-def fit_to_budget(
-    prompt: Prompt, limit: int, estimator: TokenEstimator = estimate_tokens
-) -> Prompt:
+def fit_to_budget(prompt: Prompt, limit: int) -> Prompt:
     """Return the largest prompt within the limit, shedding shots and finally
     compressing the target; raise TokenBudgetExceededError when even the bare
     compressed target plus question does not fit.
 
-    A prompt that already fits comes back as is, without a rebuild; its
-    estimate is taken with the given estimator, not read from the prompt."""
+    A prompt that already fits comes back as is, without a rebuild."""
     if limit <= 0:
         raise ValueError("token limit must be positive")
-    estimate = estimator(prompt.text)
-    if estimate <= limit:
-        return prompt if estimate == prompt.token_estimate else replace(prompt, token_estimate=estimate)
+    if prompt.token_estimate <= limit:
+        return prompt
     for target in (prompt.target, compress(prompt.target)):
         for subset in _shot_subsets(prompt.shots):
-            candidate = build_prompt(target, subset, prompt.question_template, estimator)
+            candidate = build_prompt(target, subset, prompt.question_template)
             if candidate.token_estimate <= limit:
                 return candidate
     raise TokenBudgetExceededError(

@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic project specs and generated corpora.
+"""Shared fixtures: synthetic project specs, generated corpora and a
+counting backend wrapper.
 
 The demo projects are sized so that most sub-categories clear the
 sample-of-five threshold (one shot plus four eval files) while a few stay
@@ -9,9 +10,12 @@ chosen so satisfying pairs are easy to draw and violating pairs exist.
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
 
+from confval.backend import Backend
 from confval.config_model import ConfigFormat
 from confval.constraints import (
     Comparator,
@@ -24,6 +28,35 @@ from confval.constraints import (
     build_spec_set,
 )
 from confval.misconfig_gen import build_dataset
+
+
+class Counting(Backend):
+    """Wraps a backend to count its calls and the most of them in flight at
+    once; each call is held for delay seconds before it reaches the inner
+    backend, so that calls overlap."""
+
+    def __init__(self, inner: Backend, delay: float = 0.0):
+        self.inner = inner
+        self.config = inner.config
+        self.delay = delay
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.calls = 0
+        self.peak = 0
+
+    def query(self, prompt) -> str:
+        with self._lock:
+            self.calls += 1
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            if self.delay:
+                time.sleep(self.delay)
+            return self.inner.query(prompt)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
 
 DEFAULT_COUNTS = {
     ValueKind.INTEGER: 6,

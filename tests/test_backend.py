@@ -35,6 +35,8 @@ from confval.misconfig_gen import InjectedFault, Label, LabeledFile
 from confval.pipeline import PipelineSettings
 from confval.prompting import ShotDatabase, build_prompt, shot_from_labeled
 
+from conftest import Counting
+
 
 def target_file(names=("a", "b", "c"), project="demo"):
     return ConfigFile(project, "1.0", ConfigFormat.XML, tuple(ConfigEntry(n, "1") for n in names))
@@ -100,11 +102,11 @@ class TestMockBackend:
         assert json.loads(query(backend, prompt))["hasError"] is False
 
     def test_over_budget_prompt_never_reaches_backend(self):
-        backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(token_limit=5))
+        backend = Counting(MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(token_limit=5)))
         prompt = build_prompt(target_file(), [])
         with pytest.raises(BackendError):
             query(backend, prompt)
-        assert backend.total_calls == 0
+        assert backend.calls == 0
 
     def test_noise_bit_deterministic_across_runs(self):
         labeled = misconfig_labeled()
@@ -136,15 +138,15 @@ class TestMockBackend:
         assert 60 <= corrupted <= 130
 
     def test_batch_respects_parallel_bound(self):
-        backend = MockBackend(
-            MockScript(MockBehavior.ALWAYS_VALID),
-            BackendConfig(max_parallel=3),
+        backend = Counting(
+            MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=3)),
             delay=0.005,
         )
         prompt = build_prompt(target_file(), [])
         results = query_batch(backend, prompt, 12)
         assert len(results) == 12
-        assert backend.max_in_flight_seen <= 3
+        assert backend.calls == 12
+        assert backend.peak <= 3
 
     def test_cap_holds_across_evaluation_jobs(self, dataset):
         # four file workers share the backend's request pool, so at most
@@ -153,13 +155,15 @@ class TestMockBackend:
         shot_db = ShotDatabase(shot_from_labeled(lf) for lf in split.shot_pool)
 
         def run(jobs):
-            backend = MockBackend(
-                MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth_map([split])),
-                BackendConfig(max_parallel=2),
+            backend = Counting(
+                MockBackend(
+                    MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth_map([split])),
+                    BackendConfig(max_parallel=2),
+                ),
                 delay=0.002,
             )
             report = run_evaluation({"demo": split}, backend, shot_db, PipelineSettings(seed=3), jobs=jobs)
-            return report, backend.max_in_flight_seen
+            return report, backend.peak
 
         serial, _ = run(1)
         parallel, peak = run(4)
@@ -349,10 +353,14 @@ class TestHttpBackend:
         assert exc_info.value.category == "auth"
 
     def test_bad_response_shape(self, monkeypatch):
-        backend, _ = http_backend([_StubResponse(200, {"unexpected": True})], monkeypatch)
-        with pytest.raises(BackendError) as exc_info:
-            query(backend, build_prompt(target_file(), []))
-        assert exc_info.value.category == "protocol"
+        # content that is not a string would meet the parser as a TypeError
+        for body in ({"unexpected": True}, ok_body(None), ok_body(["part"])):
+            backend, sleeps = http_backend([_StubResponse(200, body)], monkeypatch)
+            with pytest.raises(BackendError) as exc_info:
+                query(backend, build_prompt(target_file(), []))
+            assert exc_info.value.category == "protocol"
+            assert not exc_info.value.retryable
+            assert sleeps == []
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confval.config_model import (
-    ConfigDiff,
     ConfigEntry,
     ConfigFile,
     ConfigFormat,
-    EmptyDiffError,
     compress,
-    diff_to_snippet,
     load_config_file,
     parse_config,
     render_config,
@@ -141,28 +138,6 @@ class TestContentKey:
         assert changed.content_key() != file.content_key()
 
 
-class TestDiff:
-    def test_changed_entries_only(self):
-        diff = ConfigDiff(None, (ConfigEntry("a", "1"),), ())
-        snippet = diff_to_snippet(diff, project="demo", version="1.0")
-        assert snippet.entries == (ConfigEntry("a", "1"),)
-
-    def test_empty_diff_is_error(self):
-        with pytest.raises(EmptyDiffError):
-            diff_to_snippet(ConfigDiff(None, (), ()))
-
-    def test_description_inherited_from_base(self):
-        base = make_file([ConfigEntry("a", "0", "documented")])
-        diff = ConfigDiff(base, (ConfigEntry("a", "1"),), ())
-        snippet = diff_to_snippet(diff)
-        assert snippet.entries[0].description == "documented"
-        assert snippet.project == "demo"
-
-    def test_overlapping_changed_removed_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            ConfigDiff(None, (ConfigEntry("a", "1"),), ("a",))
-
-
 def test_load_rejects_invalid_utf8(tmp_path):
     path = tmp_path / "broken.xml"
     path.write_bytes(b"<configuration>\xff</configuration>")
@@ -182,7 +157,7 @@ def test_load_writes_and_reads_back(tmp_path):
 
 # --- property tests ---
 
-_name_alphabet = "abcdefghijklmnopqrstuvwxyz0123456789._-=\\"
+_name_alphabet = "abcdefghijklmnopqrstuvwxyz0123456789._-=\\#"
 _names = st.text(alphabet=_name_alphabet, min_size=1, max_size=20)
 _text_char = st.characters(min_codepoint=0x20, max_codepoint=0x2FA1D, blacklist_categories=("Cs",))
 _values = st.text(alphabet=st.one_of(_text_char, st.sampled_from("\n\r\t")), max_size=40)

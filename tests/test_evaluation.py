@@ -1,13 +1,20 @@
+import hashlib
 import json
 import random
 import sys
+import threading
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confval.evaluation
 import confval.prompting
-from confval.backend import BackendConfig, MockBackend, MockBehavior, MockScript, truth_map
+from confval.backend import Backend, BackendConfig, MockBackend, MockBehavior, MockScript, truth_map
 from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
 from confval.constraints import Subcategory
+from confval.errors import BackendError
 from confval.evaluation import (
     Cell,
     ConfusionMatrix,
@@ -29,9 +36,11 @@ from confval.evaluation import (
     score_file,
     scored_from,
 )
-from confval.misconfig_gen import InjectedFault, Label, LabeledFile
+from confval.misconfig_gen import InjectedFault, Label, LabeledFile, build_dataset
 from confval.pipeline import PipelineSettings, Verdict
 from confval.prompting import SelectionStrategy, ShotDatabase, shot_from_labeled
+
+from conftest import Counting, demo_spec_set
 
 
 def labeled_file(injected=None, names=None, project="demo"):
@@ -350,3 +359,99 @@ class TestRunEvaluation:
         assert set(reports) == {
             f"{v}v{m}m" for n in range(6) for v, m in [(n - k, k) for k in range(n + 1)]
         }
+
+
+# --- concurrency as a property ---
+
+
+class Failing(Backend):
+    """Raises a BackendError on each call whose (fingerprint, call index)
+    pair hashes below rate under salt, after the inner backend has answered
+    it. The index is taken and the inner call made under one lock, so the
+    index is the one the inner mock used for the same call."""
+
+    def __init__(self, inner: Backend, salt: int, rate: float):
+        self.inner = inner
+        self.config = inner.config
+        self.salt = salt
+        self.rate = rate
+        self._lock = threading.Lock()
+        self._calls: dict[str, int] = {}
+
+    def query(self, prompt) -> str:
+        fingerprint = prompt.fingerprint
+        with self._lock:
+            index = self._calls.get(fingerprint, 0)
+            self._calls[fingerprint] = index + 1
+            text = self.inner.query(prompt)
+        digest = hashlib.sha256(f"{self.salt}:{fingerprint}:{index}".encode("utf-8")).digest()
+        if digest[0] < 256 * self.rate:
+            raise BackendError(f"scripted failure on call {index}", "transport", retryable=False)
+        return text
+
+
+@pytest.fixture(scope="module")
+def two_projects():
+    """Two small corpora, one XML and one INI: (splits, shot database)."""
+    splits = {}
+    for i, spec in enumerate(
+        [demo_spec_set("stormdb", "2.1.0"), demo_spec_set("cachefly", "5.0.1", ConfigFormat.INI)]
+    ):
+        split = build_dataset(spec, rng=random.Random(60 + i))
+        splits[spec.project] = replace(split, eval_set=split.eval_set[::8])
+    shot_db = ShotDatabase(shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool)
+    return splits, shot_db
+
+
+def evaluate_recorded(splits, shot_db, backend, pipeline_settings, jobs):
+    """run_evaluation's report and every file's Verdict.to_report, by content key."""
+    verdicts = {}
+    validate_file = confval.evaluation.validate_file
+
+    def recording(target, *args, **kwargs):
+        verdict = validate_file(target, *args, **kwargs)
+        verdicts[target.content_key()] = verdict.to_report(target.content_key())
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(confval.evaluation, "validate_file", recording)
+        report = run_evaluation(splits, backend, shot_db, pipeline_settings, jobs=jobs)
+    return report.to_dict(), verdicts
+
+
+class TestConcurrencyProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        jobs=st.integers(1, 4),
+        max_parallel=st.integers(1, 4),
+        behavior=st.sampled_from(list(MockBehavior)),
+        noise_rate=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        delay=st.floats(0.0, 0.001),
+        salt=st.integers(0, 2**16),
+        fault_rate=st.sampled_from([0.0, 0.1, 0.3]),
+        seed=st.integers(0, 3),
+    )
+    def test_jobs_and_parallelism_change_nothing_but_timing(
+        self, two_projects, jobs, max_parallel, behavior, noise_rate, delay, salt, fault_rate, seed
+    ):
+        """Any --jobs and max_parallel keep requests in flight within
+        max_parallel and give the report and per-file verdicts of one file
+        at a time over one request at a time."""
+        splits, shot_db = two_projects
+        script = MockScript(behavior, truth=truth_map(splits.values()), noise_rate=noise_rate, seed=seed)
+        pipeline_settings = PipelineSettings(seed=seed)
+
+        def backend(parallel):
+            return Failing(MockBackend(script, BackendConfig(max_parallel=parallel)), salt, fault_rate)
+
+        expected = evaluate_recorded(splits, shot_db, backend(1), pipeline_settings, 1)
+        counting = Counting(backend(max_parallel), delay)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            got = evaluate_recorded(splits, shot_db, counting, pipeline_settings, jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counting.peak <= max_parallel
+        assert got == expected
+

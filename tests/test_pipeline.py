@@ -24,9 +24,9 @@ from confval.errors import ValidationFailedError
 from confval.misconfig_gen import Label, build_dataset
 from confval.pipeline import PipelineSettings, Verdict, _settling_wave, validate_file, vote
 from confval.prompting import ShotCombination, ShotDatabase, build_prompt, shot_from_labeled
-from confval.responses import ValidationResponse, misconfig_answer, valid_answer
+from confval.responses import ValidationResponse, valid_answer
 
-from conftest import demo_spec_set
+from conftest import Counting, demo_spec_set
 
 
 def flagging(*params):
@@ -196,11 +196,11 @@ class TestValidateFile:
     def test_echo_mock_settles_in_one_wave(self, corpus, waves):
         dataset, shot_db, truth = corpus
         target = first_eval(dataset, Label.MISCONFIG)
-        backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
+        backend = Counting(MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth)))
         verdict = validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
         # 6 of 10 agreeing answers leave the 4 open slots unable to tie
         assert waves == [6]
-        assert backend.total_calls == 6
+        assert backend.calls == 6
         assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert (verdict.tally, verdict.total_votes) == (6, 6)
         assert verdict.reasons == (target.injected.reason,)
@@ -242,11 +242,11 @@ class TestValidateFile:
             truth=truth,
             responses={(fp, 0): MALFORMED_TEXT, (fp, 1): MALFORMED_TEXT},
         )
-        backend = MockBackend(script)
+        backend = Counting(MockBackend(script))
         verdict = validate_file(target.file, backend, shot_db, settings)
         assert verdict.hasError is True
         assert verdict.discarded_count == 2
-        assert backend.total_calls == 3
+        assert backend.calls == 3
 
     def _rejection_script(self, target, truth, settings):
         """Two malformed answers, then each of R1-R4 twice, then the truth."""
@@ -274,9 +274,9 @@ class TestValidateFile:
             num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0)
         )
         # rounds of 4, 4, 4 and 2 slots; each rejected text comes twice
-        backend = MockBackend(self._rejection_script(target, truth, settings))
+        backend = Counting(MockBackend(self._rejection_script(target, truth, settings)))
         verdict = validate_file(target.file, backend, shot_db, settings)
-        assert backend.total_calls == 14
+        assert backend.calls == 14
         assert verdict.discarded_count == 10
         assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert (verdict.tally, verdict.total_votes) == (4, 4)
@@ -288,7 +288,7 @@ class TestValidateFile:
         settings = PipelineSettings(
             num_queries=4, retry_bound=3, seed=5, combination=ShotCombination(0, 0)
         )
-        backend = MockBackend(self._rejection_script(target, truth, settings))
+        backend = Counting(MockBackend(self._rejection_script(target, truth, settings)))
         verdict = validate_file(target.file, backend, shot_db, settings)
         # calls 0-9 are rejected, 10 onwards accepted; a wave takes at most 3
         # slots (any 3 answers could settle 4 open slots) of one attempt:
@@ -297,7 +297,7 @@ class TestValidateFile:
         # remaining third attempt and 1 of the two fourth (11, 12 accepted):
         # 3 votes beat the one open slot.
         assert waves == [3, 1, 3, 1, 3, 1, 1]
-        assert backend.total_calls == 13
+        assert backend.calls == 13
         assert verdict.discarded_count == 10
         assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert (verdict.tally, verdict.total_votes) == (3, 3)
@@ -306,12 +306,12 @@ class TestValidateFile:
     def test_all_slots_exhausted_is_an_error(self, corpus):
         dataset, shot_db, _ = corpus
         target = first_eval(dataset, Label.VALID)
-        backend = MockBackend(MockScript(MockBehavior.MALFORMED))
+        backend = Counting(MockBackend(MockScript(MockBehavior.MALFORMED)))
         with pytest.raises(ValidationFailedError):
             validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
         # no answer is ever accepted, so every slot makes its first attempt
         # and 3 retries
-        assert backend.total_calls == 40
+        assert backend.calls == 40
 
     def test_noise_deterministic_across_runs(self, corpus):
         dataset, shot_db, truth = corpus
@@ -352,22 +352,6 @@ class TestValidateFile:
         backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
         verdict = validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
         assert verdict.target_key == target.file.content_key()
-
-    def test_diff_validated_as_snippet(self, corpus):
-        from confval.config_model import ConfigDiff, diff_to_snippet
-        from confval.responses import misconfig_answer
-
-        dataset, shot_db, truth = corpus
-        base = first_eval(dataset, Label.MISCONFIG)
-        changed = (base.file.entries[0],)
-        diff = ConfigDiff(base.file, changed, ())
-        snippet = diff_to_snippet(diff)
-        truth = dict(truth)
-        truth[snippet.content_key()] = misconfig_answer(changed[0].name, "bad change").to_json()
-        backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
-        verdict = validate_file(diff, backend, shot_db, PipelineSettings(seed=5))
-        assert verdict.canonical_key == (True, (changed[0].name,))
-        assert verdict.target_key == snippet.content_key()
 
 
 # --- the stop rule as a property over scripted answer sequences ---
@@ -449,8 +433,10 @@ class TestStopRule:
             num_queries=num_queries, retry_bound=retry_bound, combination=ShotCombination(0, 0)
         )
         fp = prompt_fingerprint(build_prompt(target, [], settings.question_template).text)
-        backend = MockBackend(
-            MockScript(MockBehavior.ALWAYS_VALID, responses={(fp, i): t for i, t in enumerate(texts)})
+        backend = Counting(
+            MockBackend(
+                MockScript(MockBehavior.ALWAYS_VALID, responses={(fp, i): t for i, t in enumerate(texts)})
+            )
         )
         with pytest.MonkeyPatch.context() as patch:
             if wave_rule is not None:
@@ -459,7 +445,7 @@ class TestStopRule:
                 verdict = validate_file(target, backend, ShotDatabase([]), settings)
             except ValidationFailedError:
                 verdict = None
-        return verdict, backend.total_calls
+        return verdict, backend.calls
 
     def test_stop_is_exact(self):
         """For every tally over three keys and every open count up to 7 slots
