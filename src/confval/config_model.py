@@ -13,14 +13,14 @@ All types are immutable values; operations are pure.
 from __future__ import annotations
 
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from xml.sax.saxutils import escape
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, ConfigRenderError
 
 
 class frozen_cached_property(cached_property):
@@ -217,20 +217,28 @@ def _leaf_text(prop: ET.Element, tag: str, where: str) -> str | None:
     return elem.text or ""
 
 
-# XML parsers normalize a raw CR to LF; the character reference survives.
-_XML_TEXT_ENTITIES = {"\r": "&#13;"}
+# Code points outside XML 1.0's Char production, which not even a character
+# reference can carry. None of them is printable, so a printable text (nearly
+# every one) skips the search.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_text(text: str) -> str:
+    bad = not text.isprintable() and _NOT_XML_CHAR.search(text)
+    if bad:
+        raise ConfigRenderError(f"XML 1.0 cannot hold the code point U+{ord(bad.group()):04X}")
+    # XML parsers normalize a raw CR to LF; the character reference survives.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
 def _render_xml(file: ConfigFile) -> str:
     lines = ['<?xml version="1.0" encoding="utf-8"?>', "<configuration>"]
     for entry in file.entries:
         lines.append("  <property>")
-        lines.append(f"    <name>{escape(entry.name)}</name>")
-        lines.append(f"    <value>{escape(entry.value, _XML_TEXT_ENTITIES)}</value>")
+        lines.append(f"    <name>{_xml_text(entry.name)}</name>")
+        lines.append(f"    <value>{_xml_text(entry.value)}</value>")
         if entry.description is not None:
-            lines.append(
-                f"    <description>{escape(entry.description, _XML_TEXT_ENTITIES)}</description>"
-            )
+            lines.append(f"    <description>{_xml_text(entry.description)}</description>")
         lines.append("  </property>")
     lines.append("</configuration>")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,10 @@ dependencies, and version applicability, and reports one violation per fault.
 Check precedence per entry is version, then syntax, then range; dependency
 constraints are evaluated last and are skipped when an operand already failed
 a value-level check (a broken value cannot be compared meaningfully).
+
+Violation.detail is the corpus's ground-truth reason: generation copies it
+into each misconfigured file's label, so it reaches manifests, shot answers
+and prompt tokens. A change of wording here is a change of output.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ class ValueKind(Enum):
     PERMISSION = "permission"
     ENUM = "enum"
     NUMBER_WITH_UNIT = "number_with_unit"
+
+    @property
+    def rule(self) -> "KindRule":
+        return _KIND_RULES[self]
 
 
 class Comparator(Enum):
@@ -133,19 +141,42 @@ class VersionChange:
             raise ValueError("a parameter cannot be both removed and added in v2")
 
 
-# numeric_range only makes sense where the value parses as one number
-_RANGED_KINDS = {
-    ValueKind.INTEGER,
-    ValueKind.LONG,
-    ValueKind.FLOAT,
-    ValueKind.PORT,
-    ValueKind.PERMISSION,
-}
+_INT32 = (-(2**31), 2**31 - 1)
+_INT64 = (-(2**63), 2**63 - 1)
+_FLOAT = (-1.7976931348623157e308, 1.7976931348623157e308)
 
-_PORT_RANGE = (0, 65535)
-_KIND_RANGE_CAP = {
-    ValueKind.PORT: _PORT_RANGE,
-    ValueKind.PERMISSION: (0, 777),
+
+@dataclass(frozen=True)
+class KindRule:
+    """What one value kind means: the sub-category a malformed value falls in
+    and how its label says so, the sub-category of a well-formed value outside
+    the domain, and the bounds every value and every spec range must lie in
+    (None where a value is not one number, so no numeric_range applies)."""
+
+    syntax: Subcategory | None
+    range: Subcategory | None
+    malformed: str | None = None
+    bounds: tuple[float, float] | None = None
+
+
+_SC = Subcategory
+_KIND_RULES = {
+    ValueKind.INTEGER: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid integer", _INT32),
+    ValueKind.LONG: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid long", _INT64),
+    ValueKind.FLOAT: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid float", _FLOAT),
+    ValueKind.BOOLEAN: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_BOOL, "is not a valid boolean"),
+    ValueKind.STRING: KindRule(None, None),
+    ValueKind.PATH: KindRule(_SC.SYNTAX_PATH, None, "is not a well-formed absolute path"),
+    ValueKind.URL: KindRule(_SC.SYNTAX_URL, None, "is not a well-formed URL"),
+    ValueKind.IP_ADDRESS: KindRule(
+        _SC.SYNTAX_IP_ADDRESS, _SC.RANGE_IP_ADDRESS, "is not a well-formed IP address"
+    ),
+    ValueKind.PORT: KindRule(_SC.SYNTAX_PORT, _SC.RANGE_PORT, "is not a numeric port", (0, 65535)),
+    ValueKind.PERMISSION: KindRule(
+        _SC.SYNTAX_PERMISSION, _SC.RANGE_PERMISSION, "is not a three-digit permission"
+    ),
+    ValueKind.ENUM: KindRule(None, _SC.RANGE_ENUM),
+    ValueKind.NUMBER_WITH_UNIT: KindRule(_SC.SYNTAX_DATA_TYPE, None, "uses an unknown unit"),
 }
 
 
@@ -175,11 +206,11 @@ class ParameterSpec:
             lo, hi = self.numeric_range
             if lo > hi:
                 raise ValueError(f"{self.name}: empty numeric range [{lo}, {hi}]")
-            if self.kind not in _RANGED_KINDS:
+            bounds = self.kind.rule.bounds
+            if bounds is None:
                 raise ValueError(f"{self.name}: numeric_range not applicable to {self.kind.value}")
-            cap = _KIND_RANGE_CAP.get(self.kind)
-            if cap and not (cap[0] <= lo and hi <= cap[1]):
-                raise ValueError(f"{self.name}: range must stay within {list(cap)}")
+            if not (bounds[0] <= lo and hi <= bounds[1]):
+                raise ValueError(f"{self.name}: range must stay within {list(bounds)}")
 
 
 @dataclass(frozen=True)
@@ -243,38 +274,11 @@ def build_spec_set(
 
 # --- sub-category assignment ---
 
-_SYNTAX_SUBCAT = {
-    ValueKind.INTEGER: Subcategory.SYNTAX_DATA_TYPE,
-    ValueKind.LONG: Subcategory.SYNTAX_DATA_TYPE,
-    ValueKind.FLOAT: Subcategory.SYNTAX_DATA_TYPE,
-    ValueKind.BOOLEAN: Subcategory.SYNTAX_DATA_TYPE,
-    ValueKind.NUMBER_WITH_UNIT: Subcategory.SYNTAX_DATA_TYPE,
-    ValueKind.PATH: Subcategory.SYNTAX_PATH,
-    ValueKind.URL: Subcategory.SYNTAX_URL,
-    ValueKind.IP_ADDRESS: Subcategory.SYNTAX_IP_ADDRESS,
-    ValueKind.PORT: Subcategory.SYNTAX_PORT,
-    ValueKind.PERMISSION: Subcategory.SYNTAX_PERMISSION,
-}
-
-_RANGE_SUBCAT = {
-    ValueKind.INTEGER: Subcategory.RANGE_NUMERIC,
-    ValueKind.LONG: Subcategory.RANGE_NUMERIC,
-    ValueKind.FLOAT: Subcategory.RANGE_NUMERIC,
-    ValueKind.BOOLEAN: Subcategory.RANGE_BOOL,
-    ValueKind.ENUM: Subcategory.RANGE_ENUM,
-    ValueKind.IP_ADDRESS: Subcategory.RANGE_IP_ADDRESS,
-    ValueKind.PORT: Subcategory.RANGE_PORT,
-    ValueKind.PERMISSION: Subcategory.RANGE_PERMISSION,
-}
-
 
 def assign_subcategories(spec: ParameterSpec) -> frozenset[Subcategory]:
     """Every sub-category whose specification this parameter satisfies."""
-    out: set[Subcategory] = set()
-    if spec.kind in _SYNTAX_SUBCAT:
-        out.add(_SYNTAX_SUBCAT[spec.kind])
-    if spec.kind in _RANGE_SUBCAT:
-        out.add(_RANGE_SUBCAT[spec.kind])
+    rule = spec.kind.rule
+    out = {sc for sc in (rule.syntax, rule.range) if sc is not None}
     for c in spec.dependencies:
         if c.kind is DependencyKind.CONTROL and c.p2 == spec.name:
             out.add(Subcategory.DEPENDENCY_CONTROL)
@@ -296,10 +300,6 @@ _URL_RE = re.compile(r"[a-z]+://.*")
 _IP_RE = re.compile(r"[\d]{1,3}(.[\d]{1,3}){3}")
 # Path segments must be non-empty and space-free; bare "/" allowed.
 _PATH_RE = re.compile(r"^(/[^/ ]+)+/?$")
-
-_INT32 = (-(2**31), 2**31 - 1)
-_INT64 = (-(2**63), 2**63 - 1)
-_FLOAT_MAX = 1.7976931348623157e308
 
 
 def _number_with_unit_re(units: tuple[str, ...]) -> re.Pattern:
@@ -330,63 +330,41 @@ def _syntax_ok(spec: ParameterSpec, value: str) -> bool:
     return True  # STRING, ENUM: no syntactic shape
 
 
-def _syntax_detail(spec: ParameterSpec, value: str) -> str:
-    kind = spec.kind
-    if kind is ValueKind.NUMBER_WITH_UNIT:
-        return f"value {value!r} is not a number with one of the units {sorted(spec.units)}"
-    if kind in (ValueKind.INTEGER, ValueKind.LONG, ValueKind.FLOAT, ValueKind.BOOLEAN):
-        return f"value {value!r} is not a valid {kind.value}"
-    return f"value {value!r} is not a well-formed {kind.value}"
-
-
-_KIND_BOUNDS = {
-    ValueKind.INTEGER: _INT32,
-    ValueKind.LONG: _INT64,
-    ValueKind.PORT: _PORT_RANGE,
-}
-_FLOAT_BOUNDS = (-_FLOAT_MAX, _FLOAT_MAX)
-
-
-def numeric_bounds(spec: ParameterSpec) -> tuple[float, float]:
-    """The range a numeric value must fall in: the spec's own, else its kind's."""
+def numeric_bounds(spec: ParameterSpec) -> tuple[float, float] | None:
+    """The range a numeric value must fall in: the spec's own, else its kind's
+    (None for a kind whose value is not one number)."""
     if spec.numeric_range is not None:
         return spec.numeric_range
-    return _KIND_BOUNDS.get(spec.kind, _FLOAT_BOUNDS)
+    return spec.kind.rule.bounds
 
 
 def _range_violation(spec: ParameterSpec, value: str) -> str | None:
-    kind = spec.kind
-    if kind in (ValueKind.INTEGER, ValueKind.LONG, ValueKind.FLOAT):
-        number = float(value) if kind is ValueKind.FLOAT else int(value)
+    kind, name = spec.kind, spec.name
+    if kind.rule.bounds is not None:
         lo, hi = numeric_bounds(spec)
-        if not (lo <= number <= hi):
-            return f"value {value} is outside the valid range [{lo}, {hi}]"
-        return None
+        if lo <= (float(value) if kind is ValueKind.FLOAT else int(value)) <= hi:
+            return None
+        if kind is ValueKind.PORT:
+            return f"value {value} exceeds port range [{int(lo)}, {int(hi)}]"
+        return f"value {value} of '{name}' is outside the valid range [{lo:g}, {hi:g}]"
     if kind is ValueKind.BOOLEAN:
         if value.lower() not in ("true", "false"):
-            return f"value {value!r} must be true or false"
+            return f"value '{value}' of '{name}' must be true or false"
         return None
     if kind is ValueKind.ENUM:
         if value not in spec.options:
-            return f"value {value!r} must be one of {list(spec.options)}"
+            return f"value '{value}' of '{name}' must be one of {list(spec.options)}"
         return None
     if kind is ValueKind.IP_ADDRESS:
         parts = value.split(".")
         if len(parts) != 4 or not all(_DIGITS_RE.match(p) for p in parts):
             return f"value {value!r} is not a dotted quad of octets"
-        for p in parts:
-            if int(p) > 255:
-                return f"octet {p} exceeds 255"
-        return None
-    if kind is ValueKind.PORT:
-        lo, hi = numeric_bounds(spec)
-        port = int(value)
-        if not (lo <= port <= hi):
-            return f"value {value} exceeds port range [{int(lo)}, {int(hi)}]"
+        if any(int(p) > 255 for p in parts):
+            return f"value '{value}' of '{name}' has an octet outside [0, 255]"
         return None
     if kind is ValueKind.PERMISSION:
         if any(digit > "7" for digit in value):
-            return f"value {value} has a digit outside the octal range [000, 777]"
+            return f"value {value} of '{name}' is outside the permission range [000, 777]"
         return None
     return None
 
@@ -394,10 +372,11 @@ def _range_violation(spec: ParameterSpec, value: str) -> str | None:
 def value_violation(spec: ParameterSpec, value: str) -> Violation | None:
     """Syntax check first, then range; at most one violation per value."""
     if not _syntax_ok(spec, value):
-        return Violation(_SYNTAX_SUBCAT[spec.kind], spec.name, _syntax_detail(spec, value))
+        rule = spec.kind.rule
+        return Violation(rule.syntax, spec.name, f"value '{value}' of '{spec.name}' {rule.malformed}")
     detail = _range_violation(spec, value)
     if detail is not None:
-        return Violation(_RANGE_SUBCAT[spec.kind], spec.name, detail)
+        return Violation(spec.kind.rule.range, spec.name, detail)
     return None
 
 
@@ -462,8 +441,8 @@ def check_dependency(
             return Violation(
                 Subcategory.DEPENDENCY_CONTROL,
                 c.p2,
-                f"{c.p2!r} is set but requires {c.p1!r} {c.comparator.value} "
-                f"{c.value!r} (found {v1!r})",
+                f"'{c.p2}' is set but '{c.p1}' does not satisfy "
+                f"{c.p1} {c.comparator.value} {c.value}",
             )
         return None
     v1 = _resolve(c.p1, file, specs)
@@ -474,8 +453,7 @@ def check_dependency(
         return Violation(
             Subcategory.DEPENDENCY_VALUE_RELATIONSHIP,
             c.p1,
-            f"{c.p1!r}={v1} violates {c.p1} {c.comparator.value} {c.p2} "
-            f"(found {c.p2!r}={v2})",
+            f"value of '{c.p1}' violates required relation {c.p1} {c.comparator.value} {c.p2}",
         )
     return None
 
@@ -484,17 +462,13 @@ def _version_violation(
     name: str, file_version: str, changes: tuple[VersionChange, ...]
 ) -> Violation | None:
     for change in changes:
-        if file_version == change.v2 and name in change.removed_in_v2:
+        if (file_version == change.v2 and name in change.removed_in_v2) or (
+            file_version == change.v1 and name in change.added_in_v2
+        ):
             return Violation(
                 Subcategory.VERSION_PARAMETER_CHANGE,
                 name,
-                f"parameter was removed in version {change.v2}",
-            )
-        if file_version == change.v1 and name in change.added_in_v2:
-            return Violation(
-                Subcategory.VERSION_PARAMETER_CHANGE,
-                name,
-                f"parameter is not introduced until version {change.v2}",
+                f"parameter '{name}' does not exist in version {file_version}",
             )
     return None
 

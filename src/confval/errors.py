@@ -15,6 +15,10 @@ class ConfigParseError(ConfvalError):
         super().__init__(message)
 
 
+class ConfigRenderError(ConfvalError):
+    """A configuration cannot be written in the requested format."""
+
+
 class SpecError(ConfvalError):
     """A parameter specification document is invalid."""
 

@@ -24,6 +24,7 @@ from .config_model import (
 )
 from .constraints import (
     ALL_SUBCATEGORIES,
+    Category,
     Comparator,
     DependencyConstraint,
     DependencyKind,
@@ -242,57 +243,7 @@ def generate_invalid_value(
     return rng.choice(verified)
 
 
-# --- ground-truth reasons ---
-
-
-def ground_truth_reason(subcat: Subcategory, parameter: str, value: str, specs: SpecSet) -> str:
-    spec = specs.parameters.get(parameter)
-    if subcat is Subcategory.SYNTAX_DATA_TYPE:
-        if spec is not None and spec.kind is ValueKind.NUMBER_WITH_UNIT:
-            return f"value '{value}' of '{parameter}' uses an unknown unit"
-        kind = spec.kind.value if spec else "expected type"
-        return f"value '{value}' of '{parameter}' is not a valid {kind}"
-    if subcat is Subcategory.SYNTAX_PATH:
-        return f"value '{value}' of '{parameter}' is not a well-formed absolute path"
-    if subcat is Subcategory.SYNTAX_URL:
-        return f"value '{value}' of '{parameter}' is not a well-formed URL"
-    if subcat is Subcategory.SYNTAX_IP_ADDRESS:
-        return f"value '{value}' of '{parameter}' is not a well-formed IP address"
-    if subcat is Subcategory.SYNTAX_PORT:
-        return f"value '{value}' of '{parameter}' is not a numeric port"
-    if subcat is Subcategory.SYNTAX_PERMISSION:
-        return f"value '{value}' of '{parameter}' is not a three-digit permission"
-    if subcat is Subcategory.RANGE_NUMERIC:
-        lo, hi = numeric_bounds(spec)
-        return f"value {value} of '{parameter}' is outside the valid range [{lo:g}, {hi:g}]"
-    if subcat is Subcategory.RANGE_BOOL:
-        return f"value '{value}' of '{parameter}' must be true or false"
-    if subcat is Subcategory.RANGE_ENUM:
-        return f"value '{value}' of '{parameter}' must be one of {list(spec.options)}"
-    if subcat is Subcategory.RANGE_IP_ADDRESS:
-        return f"value '{value}' of '{parameter}' has an octet outside [0, 255]"
-    if subcat is Subcategory.RANGE_PORT:
-        lo, hi = numeric_bounds(spec)
-        return f"value {value} exceeds port range [{int(lo)}, {int(hi)}]"
-    if subcat is Subcategory.RANGE_PERMISSION:
-        return f"value {value} of '{parameter}' is outside the permission range [000, 777]"
-    if subcat is Subcategory.VERSION_PARAMETER_CHANGE:
-        return f"parameter '{parameter}' does not exist in version {specs.version}"
-    raise GenerationError(f"no reason template for {subcat.value}")
-
-
-def _dependency_reason(c: DependencyConstraint) -> str:
-    if c.kind is DependencyKind.CONTROL:
-        return (
-            f"'{c.p2}' is set but '{c.p1}' does not satisfy "
-            f"{c.p1} {c.comparator.value} {c.value}"
-        )
-    return f"value of '{c.p1}' violates required relation {c.p1} {c.comparator.value} {c.p2}"
-
-
 # --- dependency pair construction ---
-
-_NUMERIC_KINDS = (ValueKind.INTEGER, ValueKind.LONG, ValueKind.PORT, ValueKind.FLOAT)
 
 
 def _format_number(x: float, integral: bool) -> str:
@@ -313,7 +264,7 @@ def _ordered_pair(
 ) -> tuple[str, str] | None:
     """Construct in-range numeric values with v1 <relation> v2, or None when
     the windows make the relation unsatisfiable."""
-    if spec1.kind not in _NUMERIC_KINDS or spec2.kind not in _NUMERIC_KINDS:
+    if spec1.kind.rule.bounds is None or spec2.kind.rule.bounds is None:
         return None
     lo1, hi1 = map(float, _plausible_window(*numeric_bounds(spec1)))
     lo2, hi2 = map(float, _plausible_window(*numeric_bounds(spec2)))
@@ -477,38 +428,33 @@ class _FileBuilder:
         self.seen_keys.add(key)
         return True
 
+    def _fixed(self, subcat: Subcategory, parameter: str, fault: bool) -> list[ConfigEntry]:
+        """The entries that carry the sub-category's fault on the parameter, or
+        that a valid counterpart holds in their place."""
+        if subcat.category is Category.DEPENDENCY:
+            c = _constraint_for(self.specs, subcat, parameter)
+            pair = _solve_pair(c, self.specs, self.rng, violate=fault)
+            return [self._entry(n, v) for n, v in pair.items()]
+        if subcat is Subcategory.VERSION_PARAMETER_CHANGE:
+            # a version-affected parameter has no valid value at this
+            # version, so its valid counterpart uses supported ones only
+            if not fault:
+                return []
+            return [self._entry(parameter, self.rng.choice(_PLAUSIBLE_VERSION_VALUES))]
+        spec = self.specs.parameters[parameter]
+        if fault:
+            return [self._entry(parameter, generate_invalid_value(spec, subcat, self.rng))]
+        return [self._entry(parameter, generate_valid_value(spec, self.rng))]
+
     def misconfig_file(self, subcat: Subcategory, parameter: str) -> LabeledFile:
+        """A file whose one violation is the sub-category's fault on the
+        parameter, labelled with the oracle's own detail as its reason."""
         for _ in range(MAX_ATTEMPTS):
-            if subcat in (
-                Subcategory.DEPENDENCY_CONTROL,
-                Subcategory.DEPENDENCY_VALUE_RELATIONSHIP,
-            ):
-                c = _constraint_for(self.specs, subcat, parameter)
-                pair = _solve_pair(c, self.specs, self.rng, violate=True)
-                fixed = [self._entry(n, v) for n, v in pair.items()]
-                flagged = c.p2 if c.kind is DependencyKind.CONTROL else c.p1
-                reason = _dependency_reason(c)
-            elif subcat is Subcategory.VERSION_PARAMETER_CHANGE:
-                value = self.rng.choice(_PLAUSIBLE_VERSION_VALUES)
-                fixed = [self._entry(parameter, value)]
-                flagged = parameter
-                reason = ground_truth_reason(subcat, parameter, value, self.specs)
-            else:
-                spec = self.specs.parameters[parameter]
-                value = generate_invalid_value(spec, subcat, self.rng)
-                fixed = [self._entry(parameter, value)]
-                flagged = parameter
-                reason = ground_truth_reason(subcat, parameter, value, self.specs)
-            file = self._assemble(fixed)
+            file = self._assemble(self._fixed(subcat, parameter, fault=True))
             found = oracle_validate(file, self.specs)
-            if (
-                len(found) == 1
-                and found[0].parameter == flagged
-                and found[0].subcategory is subcat
-            ):
-                labeled = LabeledFile(
-                    file, Label.MISCONFIG, InjectedFault(flagged, subcat, reason), bucket=subcat
-                )
+            if len(found) == 1 and found[0].parameter == parameter and found[0].subcategory is subcat:
+                fault = InjectedFault(parameter, subcat, found[0].detail)
+                labeled = LabeledFile(file, Label.MISCONFIG, fault, bucket=subcat)
                 if self._accept(labeled):
                     return labeled
         raise GenerationError(
@@ -517,21 +463,7 @@ class _FileBuilder:
 
     def valid_file(self, subcat: Subcategory, parameter: str) -> LabeledFile:
         for _ in range(MAX_ATTEMPTS):
-            if subcat in (
-                Subcategory.DEPENDENCY_CONTROL,
-                Subcategory.DEPENDENCY_VALUE_RELATIONSHIP,
-            ):
-                c = _constraint_for(self.specs, subcat, parameter)
-                pair = _solve_pair(c, self.specs, self.rng, violate=False)
-                fixed = [self._entry(n, v) for n, v in pair.items()]
-            elif subcat is Subcategory.VERSION_PARAMETER_CHANGE:
-                # a version-affected parameter has no valid value at this
-                # version, so its valid counterpart uses supported ones only
-                fixed = []
-            else:
-                spec = self.specs.parameters[parameter]
-                fixed = [self._entry(parameter, generate_valid_value(spec, self.rng))]
-            file = self._assemble(fixed)
+            file = self._assemble(self._fixed(subcat, parameter, fault=False))
             if not oracle_validate(file, self.specs):
                 labeled = LabeledFile(file, Label.VALID, bucket=subcat)
                 if self._accept(labeled):

@@ -1,5 +1,6 @@
 import pickle
 from dataclasses import replace
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,13 @@ from confval.config_model import (
     ConfigEntry,
     ConfigFile,
     ConfigFormat,
+    _xml_text,
     compress,
     load_config_file,
     parse_config,
     render_config,
 )
-from confval.errors import ConfigParseError
+from confval.errors import ConfigParseError, ConfigRenderError
 from confval.prompting import estimate_tokens
 
 XML_ONE_PROPERTY = """<?xml version="1.0" encoding="utf-8"?>
@@ -158,31 +160,71 @@ def test_load_writes_and_reads_back(tmp_path):
 # --- property tests ---
 
 _name_alphabet = "abcdefghijklmnopqrstuvwxyz0123456789._-=\\#"
-_names = st.text(alphabet=_name_alphabet, min_size=1, max_size=20)
-_text_char = st.characters(min_codepoint=0x20, max_codepoint=0x2FA1D, blacklist_categories=("Cs",))
-_values = st.text(alphabet=st.one_of(_text_char, st.sampled_from("\n\r\t")), max_size=40)
-_descriptions = st.one_of(st.none(), _values.filter(lambda s: s != ""))
+_xml_chars = st.one_of(
+    st.characters(min_codepoint=0x20, max_codepoint=0x2FA1D, exclude_categories=("Cs",)).filter(
+        lambda c: c not in "\ufffe\uffff"
+    ),
+    st.sampled_from("\n\r\t"),
+)
+# every code point, lone surrogates too; those XML 1.0 cannot hold drawn often
+_any_chars = st.one_of(st.characters(exclude_categories=()), st.sampled_from("\n\r\t\x0b\x00\ud800\uffff"))
+
+
+def _xml_holds(text: str) -> bool:
+    """XML 1.0's Char production, written out independently of the renderer."""
+    return all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+        for c in text
+    )
 
 
 @st.composite
-def config_files(draw, fmt=None):
-    names = draw(st.lists(_names, min_size=0, max_size=8, unique=True))
+def config_files(draw, fmt=None, chars=_xml_chars):
+    names_alphabet = st.one_of(st.sampled_from(_name_alphabet), chars.filter(lambda c: c not in "\n\r"))
+    names = draw(st.lists(st.text(alphabet=names_alphabet, min_size=1, max_size=20), max_size=8, unique=True))
+    values = st.text(alphabet=chars, max_size=40)
     entries = tuple(
-        ConfigEntry(name, draw(_values), draw(_descriptions)) for name in names
+        ConfigEntry(name, draw(values), draw(st.one_of(st.none(), values.filter(bool))))
+        for name in names
     )
     file_format = fmt or draw(st.sampled_from(list(ConfigFormat)))
     return ConfigFile("demo", "1.0", file_format, entries)
+
+
+def _assert_round_trips(file, fmt):
+    again = parse_config(render_config(file, fmt), fmt, file.project, file.version)
+    assert again.project == file.project
+    assert again.version == file.version
+    assert again.entries == file.entries
 
 
 @settings(max_examples=150)
 @given(config_files())
 def test_round_trip_preserves_everything(file):
     for fmt in ConfigFormat:
-        text = render_config(file, fmt)
-        again = parse_config(text, fmt, file.project, file.version)
-        assert again.project == file.project
-        assert again.version == file.version
-        assert again.entries == file.entries
+        _assert_round_trips(file, fmt)
+
+
+@settings(max_examples=150)
+@given(config_files(chars=_any_chars))
+def test_any_text_round_trips_or_xml_refuses_it(file):
+    """INI round-trips every file; rendering XML raises ConfigRenderError
+    exactly when some text holds a code point XML 1.0 cannot, and otherwise
+    round-trips."""
+    _assert_round_trips(file, ConfigFormat.INI)
+    texts = [t for e in file.entries for t in (e.name, e.value, e.description or "")]
+    if all(map(_xml_holds, texts)):
+        _assert_round_trips(file, ConfigFormat.XML)
+    else:
+        with pytest.raises(ConfigRenderError):
+            render_config(file, ConfigFormat.XML)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=_xml_chars, max_size=60))
+def test_xml_escape_matches_saxutils(text):
+    """The local escape writes the bytes xml.sax.saxutils.escape wrote."""
+    assert _xml_text(text) == escape(text, {"\r": "&#13;"})
 
 
 @settings(max_examples=100)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from confval.constraints import (
     save_spec_set,
     value_violation,
 )
-from confval.errors import DependencyEvalError, UnknownParameterError
+from confval.errors import DependencyEvalError, SpecError, UnknownParameterError
 
 from conftest import demo_spec_set
 
@@ -83,6 +85,27 @@ class TestAssignSubcategories:
         ranged = spec(kind, numeric_range=(lo, hi))
         syntax = {sc for sc in assign_subcategories(bare) if sc.category is Category.SYNTAX}
         assert syntax <= assign_subcategories(ranged)
+
+
+class TestRangeRule:
+    @pytest.mark.parametrize(
+        "kind,numeric_range",
+        [
+            (ValueKind.PERMISSION, (0, 644)),  # a permission is not one number
+            (ValueKind.INTEGER, (0, 2**31)),  # past int32
+            (ValueKind.PORT, (1, 65536)),
+        ],
+    )
+    def test_range_outside_the_kind_bounds_rejected(self, kind, numeric_range):
+        with pytest.raises(ValueError, match="numeric_range not applicable|range must stay within"):
+            spec(kind, numeric_range=numeric_range)
+
+    def test_spec_document_with_permission_range_is_a_spec_error(self, tmp_path):
+        path = tmp_path / "spec.json"
+        parameter = {"name": "file.mode", "kind": "permission", "range": [0, 644]}
+        path.write_text(json.dumps({"project": "demo", "version": "1.0", "parameters": [parameter]}))
+        with pytest.raises(SpecError, match="file.mode"):
+            load_spec_set(path)
 
 
 class TestValueChecks:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -24,12 +25,16 @@ from confval.misconfig_gen import (
     generate_invalid_value,
     generate_valid_value,
     _FileBuilder,
-    ground_truth_reason,
     load_dataset,
     write_dataset,
 )
 
-from conftest import demo_spec_set
+from conftest import demo_spec_set, six_project_specs
+
+# sha256 over the (relative path, bytes) pairs, in path order, of the corpora
+# write_dataset emits for six_project_specs() at seed 11. Value generation,
+# the oracle's reason text and rendering all feed it.
+SEED_11_CORPUS_SHA256 = "866013f2aca66d8beea1c40610aae124f491ba3e579756d718cbedfae861cfe5"
 
 
 def spec(kind, name="demo.param", **kw):
@@ -83,11 +88,10 @@ class TestGenerateInvalid:
 
     def test_unranged_float_reason_quotes_the_oracle_range(self):
         parameter = spec(ValueKind.FLOAT)
-        specs = build_spec_set("demo", "1.0", ConfigFormat.XML, [parameter])
         value = generate_invalid_value(parameter, Subcategory.RANGE_NUMERIC, random.Random(0))
-        assert value_violation(parameter, value).subcategory is Subcategory.RANGE_NUMERIC
-        reason = ground_truth_reason(Subcategory.RANGE_NUMERIC, parameter.name, value, specs)
-        assert f"[{-sys.float_info.max:g}, {sys.float_info.max:g}]" in reason
+        violation = value_violation(parameter, value)
+        assert violation.subcategory is Subcategory.RANGE_NUMERIC
+        assert f"[{-sys.float_info.max:g}, {sys.float_info.max:g}]" in violation.detail
 
     def test_unit_misuse_literal(self):
         unit_spec = spec(ValueKind.NUMBER_WITH_UNIT, units=("kb", "mb"))
@@ -231,6 +235,12 @@ class TestBuildDataset:
             assert found[0].parameter == lf.injected.parameter
             assert found[0].subcategory is lf.injected.subcategory
 
+    def test_reason_is_the_oracle_detail(self, six_datasets):
+        for specs, split in six_datasets.values():
+            for lf in split.shot_pool + split.eval_set:
+                if lf.label is Label.MISCONFIG:
+                    assert lf.injected.reason == oracle_validate(lf.file, specs)[0].detail
+
     def test_zero_fault_property(self, spec_set, dataset):
         for lf in dataset.shot_pool + dataset.eval_set:
             if lf.label is Label.VALID:
@@ -294,3 +304,16 @@ class TestCorpusOnDisk:
         for lp, rp in zip(left, right):
             if lp.is_file():
                 assert lp.read_bytes() == rp.read_bytes()
+
+    def test_seed_11_corpora_are_pinned(self, tmp_path):
+        for specs in six_project_specs():
+            write_dataset(build_dataset(specs, rng=11), tmp_path, specs)
+        files = sorted(
+            (p.relative_to(tmp_path).as_posix(), p.read_bytes())
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        )
+        digest = hashlib.sha256()
+        for rel, data in files:
+            digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+        assert digest.hexdigest() == SEED_11_CORPUS_SHA256
