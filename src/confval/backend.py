@@ -217,7 +217,9 @@ class MockBackend(Backend):
             return valid_answer().to_json()
         if behavior is MockBehavior.MALFORMED:
             return MALFORMED_TEXT
-        truth = self.script.truth.get(prompt.target.content_key(), valid_answer().to_json())
+        truth = self.script.truth.get(prompt.target.content_key())
+        if truth is None:
+            truth = valid_answer().to_json()
         if behavior is MockBehavior.ECHO_GROUND_TRUTH:
             return truth
         # NOISE_WITH_RATE: corruption is a pure function of (seed, prompt, index)

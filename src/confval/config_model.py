@@ -260,6 +260,8 @@ def _escape_ini_value(value: str) -> str:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -305,6 +307,8 @@ def _parse_ini(text: str) -> list[ConfigEntry]:
         name = _unescape(raw_name)
         if not name:
             raise ConfigParseError("empty parameter name", f"line {lineno}")
+        if "\n" in name or "\r" in name:  # an escaped \n or \r
+            raise ConfigParseError(f"parameter name contains a line break: {name!r}", f"line {lineno}")
         if name in seen:
             raise ConfigParseError(f"duplicate parameter name: {name}", f"line {lineno}")
         seen.add(name)

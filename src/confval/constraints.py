@@ -11,6 +11,14 @@ a value-level check (a broken value cannot be compared meaningfully).
 Violation.detail is the corpus's ground-truth reason: generation copies it
 into each misconfigured file's label, so it reaches manifests, shot answers
 and prompt tokens. A change of wording here is a change of output.
+
+What a check needs from the specs is worked out once per spec, not once per
+value: each ParameterSpec keeps its kind rule, its numeric bounds and its
+syntax matcher (with a number_with_unit spec's unit pattern compiled once),
+and each SpecSet keeps its version-known names and a (parameter, version) ->
+Violation table for the version records. Both are frozen, so what they keep
+cannot go stale; it takes no part in ==, hash or repr. Per-file objects keep
+nothing.
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
-from .config_model import ConfigFile, ConfigFormat
+from .config_model import ConfigFile, ConfigFormat, frozen_cached_property
 from .errors import DependencyEvalError, SpecError, UnknownParameterError, check_schema_version
 
 
@@ -38,10 +47,6 @@ class ValueKind(Enum):
     PERMISSION = "permission"
     ENUM = "enum"
     NUMBER_WITH_UNIT = "number_with_unit"
-
-    @property
-    def rule(self) -> "KindRule":
-        return _KIND_RULES[self]
 
 
 class Comparator(Enum):
@@ -146,34 +151,66 @@ _INT64 = (-(2**63), 2**63 - 1)
 _FLOAT = (-1.7976931348623157e308, 1.7976931348623157e308)
 
 
+# Value shapes. URL and IP patterns are kept exactly as published (the IP
+# pattern's dot is an unescaped any-char); the range step then demands
+# dotted-quad structure.
+
+_INT_RE = re.compile(r"^[+-]?\d+$")
+_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_WORD_RE = re.compile(r"^[A-Za-z]+$")
+_DIGITS_RE = re.compile(r"^\d+$")
+_PERMISSION_RE = re.compile(r"^\d{3}$")
+_URL_RE = re.compile(r"[a-z]+://.*")
+_IP_RE = re.compile(r"[\d]{1,3}(.[\d]{1,3}){3}")
+# Path segments must be non-empty and space-free; bare "/" allowed.
+_PATH_RE = re.compile(r"^(/|(/[^/ ]+)+/?)$")
+
+
 @dataclass(frozen=True)
 class KindRule:
     """What one value kind means: the sub-category a malformed value falls in
     and how its label says so, the sub-category of a well-formed value outside
-    the domain, and the bounds every value and every spec range must lie in
-    (None where a value is not one number, so no numeric_range applies)."""
+    the domain, the bounds every value and every spec range must lie in
+    (None where a value is not one number, so no numeric_range applies), and
+    the matcher a well-formed value passes (None where the kind has no shape,
+    or where the spec's units decide it)."""
 
     syntax: Subcategory | None
     range: Subcategory | None
     malformed: str | None = None
     bounds: tuple[float, float] | None = None
+    shape: Callable[[str], object] | None = None
 
 
 _SC = Subcategory
 _KIND_RULES = {
-    ValueKind.INTEGER: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid integer", _INT32),
-    ValueKind.LONG: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid long", _INT64),
-    ValueKind.FLOAT: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid float", _FLOAT),
-    ValueKind.BOOLEAN: KindRule(_SC.SYNTAX_DATA_TYPE, _SC.RANGE_BOOL, "is not a valid boolean"),
-    ValueKind.STRING: KindRule(None, None),
-    ValueKind.PATH: KindRule(_SC.SYNTAX_PATH, None, "is not a well-formed absolute path"),
-    ValueKind.URL: KindRule(_SC.SYNTAX_URL, None, "is not a well-formed URL"),
-    ValueKind.IP_ADDRESS: KindRule(
-        _SC.SYNTAX_IP_ADDRESS, _SC.RANGE_IP_ADDRESS, "is not a well-formed IP address"
+    ValueKind.INTEGER: KindRule(
+        _SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid integer", _INT32, _INT_RE.match
     ),
-    ValueKind.PORT: KindRule(_SC.SYNTAX_PORT, _SC.RANGE_PORT, "is not a numeric port", (0, 65535)),
+    ValueKind.LONG: KindRule(
+        _SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid long", _INT64, _INT_RE.match
+    ),
+    ValueKind.FLOAT: KindRule(
+        _SC.SYNTAX_DATA_TYPE, _SC.RANGE_NUMERIC, "is not a valid float", _FLOAT, _FLOAT_RE.match
+    ),
+    ValueKind.BOOLEAN: KindRule(
+        _SC.SYNTAX_DATA_TYPE, _SC.RANGE_BOOL, "is not a valid boolean", shape=_WORD_RE.match
+    ),
+    ValueKind.STRING: KindRule(None, None),
+    ValueKind.PATH: KindRule(
+        _SC.SYNTAX_PATH, None, "is not a well-formed absolute path", shape=_PATH_RE.match
+    ),
+    ValueKind.URL: KindRule(_SC.SYNTAX_URL, None, "is not a well-formed URL", shape=_URL_RE.fullmatch),
+    ValueKind.IP_ADDRESS: KindRule(
+        _SC.SYNTAX_IP_ADDRESS, _SC.RANGE_IP_ADDRESS, "is not a well-formed IP address",
+        shape=_IP_RE.fullmatch,
+    ),
+    ValueKind.PORT: KindRule(
+        _SC.SYNTAX_PORT, _SC.RANGE_PORT, "is not a numeric port", (0, 65535), _DIGITS_RE.match
+    ),
     ValueKind.PERMISSION: KindRule(
-        _SC.SYNTAX_PERMISSION, _SC.RANGE_PERMISSION, "is not a three-digit permission"
+        _SC.SYNTAX_PERMISSION, _SC.RANGE_PERMISSION, "is not a three-digit permission",
+        shape=_PERMISSION_RE.match,
     ),
     ValueKind.ENUM: KindRule(None, _SC.RANGE_ENUM),
     ValueKind.NUMBER_WITH_UNIT: KindRule(_SC.SYNTAX_DATA_TYPE, None, "uses an unknown unit"),
@@ -206,11 +243,33 @@ class ParameterSpec:
             lo, hi = self.numeric_range
             if lo > hi:
                 raise ValueError(f"{self.name}: empty numeric range [{lo}, {hi}]")
-            bounds = self.kind.rule.bounds
+            bounds = self.rule.bounds
             if bounds is None:
                 raise ValueError(f"{self.name}: numeric_range not applicable to {self.kind.value}")
             if not (bounds[0] <= lo and hi <= bounds[1]):
                 raise ValueError(f"{self.name}: range must stay within {list(bounds)}")
+        # Stored here in one order for every spec: instances that gain these
+        # attributes in different orders stop sharing their dict keys, which
+        # cost about 600 bytes a spec.
+        self.rule, self.bounds, self.syntax_match
+
+    @frozen_cached_property
+    def rule(self) -> KindRule:
+        return _KIND_RULES[self.kind]
+
+    @frozen_cached_property
+    def bounds(self) -> tuple[float, float] | None:
+        """The range a numeric value must fall in: the spec's own, else its kind's
+        (None for a kind whose value is not one number)."""
+        return self.rule.bounds if self.numeric_range is None else self.numeric_range
+
+    @frozen_cached_property
+    def syntax_match(self) -> Callable[[str], object] | None:
+        """What a well-formed value matches; None when any text is well-formed."""
+        if self.kind is not ValueKind.NUMBER_WITH_UNIT:
+            return self.rule.shape
+        alts = "|".join(re.escape(u) for u in self.units)
+        return re.compile(r"^[+-]?(\d+\.?\d*|\.\d+) ?(" + alts + r")$").match
 
 
 @dataclass(frozen=True)
@@ -235,11 +294,23 @@ class SpecSet:
     dependencies: tuple[DependencyConstraint, ...] = ()
     version_changes: tuple[VersionChange, ...] = ()
 
-    def version_known_names(self) -> frozenset[str]:
-        names: set[str] = set()
+    @frozen_cached_property
+    def version_violations(self) -> dict[tuple[str, str], Violation]:
+        """The violation of each (parameter, file version) that a version-change
+        record rules out; the first record, in change order, wins."""
+        table: dict[tuple[str, str], Violation] = {}
         for change in self.version_changes:
-            names |= change.removed_in_v2 | change.added_in_v2
-        return frozenset(names)
+            for version, names in ((change.v2, change.removed_in_v2), (change.v1, change.added_in_v2)):
+                for name in names:
+                    detail = f"parameter '{name}' does not exist in version {version}"
+                    violation = Violation(Subcategory.VERSION_PARAMETER_CHANGE, name, detail)
+                    table.setdefault((name, version), violation)
+        return table
+
+    @frozen_cached_property
+    def version_known_names(self) -> frozenset[str]:
+        """Every parameter some version-change record names."""
+        return frozenset(name for name, _ in self.version_violations)
 
 
 def build_spec_set(
@@ -277,7 +348,7 @@ def build_spec_set(
 
 def assign_subcategories(spec: ParameterSpec) -> frozenset[Subcategory]:
     """Every sub-category whose specification this parameter satisfies."""
-    rule = spec.kind.rule
+    rule = spec.rule
     out = {sc for sc in (rule.syntax, rule.range) if sc is not None}
     for c in spec.dependencies:
         if c.kind is DependencyKind.CONTROL and c.p2 == spec.name:
@@ -287,61 +358,10 @@ def assign_subcategories(spec: ParameterSpec) -> frozenset[Subcategory]:
     return frozenset(out)
 
 
-# --- syntax checks ---
-# URL and IP patterns are kept exactly as published (the IP pattern's dot is
-# an unescaped any-char); the range step then demands dotted-quad structure.
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_WORD_RE = re.compile(r"^[A-Za-z]+$")
-_DIGITS_RE = re.compile(r"^\d+$")
-_PERMISSION_RE = re.compile(r"^\d{3}$")
-_URL_RE = re.compile(r"[a-z]+://.*")
-_IP_RE = re.compile(r"[\d]{1,3}(.[\d]{1,3}){3}")
-# Path segments must be non-empty and space-free; bare "/" allowed.
-_PATH_RE = re.compile(r"^(/[^/ ]+)+/?$")
-
-
-def _number_with_unit_re(units: tuple[str, ...]) -> re.Pattern:
-    alts = "|".join(re.escape(u) for u in units)
-    return re.compile(r"^[+-]?(\d+\.?\d*|\.\d+) ?(" + alts + r")$")
-
-
-def _syntax_ok(spec: ParameterSpec, value: str) -> bool:
-    kind = spec.kind
-    if kind in (ValueKind.INTEGER, ValueKind.LONG):
-        return bool(_INT_RE.match(value))
-    if kind is ValueKind.FLOAT:
-        return bool(_FLOAT_RE.match(value))
-    if kind is ValueKind.BOOLEAN:
-        return bool(_WORD_RE.match(value))
-    if kind is ValueKind.NUMBER_WITH_UNIT:
-        return bool(_number_with_unit_re(spec.units).match(value))
-    if kind is ValueKind.PATH:
-        return value == "/" or bool(_PATH_RE.match(value))
-    if kind is ValueKind.URL:
-        return bool(_URL_RE.fullmatch(value))
-    if kind is ValueKind.IP_ADDRESS:
-        return bool(_IP_RE.fullmatch(value))
-    if kind is ValueKind.PORT:
-        return bool(_DIGITS_RE.match(value))
-    if kind is ValueKind.PERMISSION:
-        return bool(_PERMISSION_RE.match(value))
-    return True  # STRING, ENUM: no syntactic shape
-
-
-def numeric_bounds(spec: ParameterSpec) -> tuple[float, float] | None:
-    """The range a numeric value must fall in: the spec's own, else its kind's
-    (None for a kind whose value is not one number)."""
-    if spec.numeric_range is not None:
-        return spec.numeric_range
-    return spec.kind.rule.bounds
-
-
 def _range_violation(spec: ParameterSpec, value: str) -> str | None:
-    kind, name = spec.kind, spec.name
-    if kind.rule.bounds is not None:
-        lo, hi = numeric_bounds(spec)
+    kind, name, bounds = spec.kind, spec.name, spec.bounds
+    if bounds is not None:
+        lo, hi = bounds
         if lo <= (float(value) if kind is ValueKind.FLOAT else int(value)) <= hi:
             return None
         if kind is ValueKind.PORT:
@@ -371,12 +391,12 @@ def _range_violation(spec: ParameterSpec, value: str) -> str | None:
 
 def value_violation(spec: ParameterSpec, value: str) -> Violation | None:
     """Syntax check first, then range; at most one violation per value."""
-    if not _syntax_ok(spec, value):
-        rule = spec.kind.rule
+    rule, match = spec.rule, spec.syntax_match
+    if match is not None and not match(value):
         return Violation(rule.syntax, spec.name, f"value '{value}' of '{spec.name}' {rule.malformed}")
     detail = _range_violation(spec, value)
     if detail is not None:
-        return Violation(spec.kind.rule.range, spec.name, detail)
+        return Violation(rule.range, spec.name, detail)
     return None
 
 
@@ -458,45 +478,26 @@ def check_dependency(
     return None
 
 
-def _version_violation(
-    name: str, file_version: str, changes: tuple[VersionChange, ...]
-) -> Violation | None:
-    for change in changes:
-        if (file_version == change.v2 and name in change.removed_in_v2) or (
-            file_version == change.v1 and name in change.added_in_v2
-        ):
-            return Violation(
-                Subcategory.VERSION_PARAMETER_CHANGE,
-                name,
-                f"parameter '{name}' does not exist in version {file_version}",
-            )
-    return None
-
-
 def oracle_validate(file: ConfigFile, specs: SpecSet) -> list[Violation]:
     """Return exactly the violations present in the file; [] means valid.
 
     Every entry must have a spec or appear in a version-change record;
     anything else raises UnknownParameterError.
     """
-    version_names = specs.version_known_names()
+    parameters, version_names = specs.parameters, specs.version_known_names
+    version_violations, version = specs.version_violations, file.version
 
     violations: list[Violation] = []
     flagged: set[str] = set()
     for entry in file.entries:
-        spec = specs.parameters.get(entry.name)
+        spec = parameters.get(entry.name)
         if spec is None and entry.name not in version_names:
             raise UnknownParameterError(
                 f"no spec and no version record for parameter {entry.name!r}"
             )
-        v = _version_violation(entry.name, file.version, specs.version_changes)
-        if v is not None:
-            violations.append(v)
-            flagged.add(entry.name)
-            continue
-        if spec is None:
-            continue  # version-known only; no value spec to check against
-        v = value_violation(spec, entry.value)
+        v = version_violations.get((entry.name, version))
+        if v is None and spec is not None:  # a version-known name may have no value spec
+            v = value_violation(spec, entry.value)
         if v is not None:
             violations.append(v)
             flagged.add(entry.name)
@@ -559,6 +560,7 @@ def spec_set_to_dict(specs: SpecSet) -> dict:
 def spec_set_from_dict(doc: dict) -> SpecSet:
     check_schema_version(doc, SPEC_SCHEMA_VERSION, "spec document")
     try:
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")  # no lone surrogates
         project = doc["project"]
         version = doc["version"]
         file_format = ConfigFormat(doc.get("file_format", "xml"))

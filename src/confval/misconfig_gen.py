@@ -34,7 +34,6 @@ from .constraints import (
     ValueKind,
     assign_subcategories,
     compare_values,
-    numeric_bounds,
     oracle_validate,
     value_violation,
 )
@@ -146,10 +145,10 @@ def _draw_valid(spec: ParameterSpec, rng: random.Random) -> str | None:
         return spec.default_value
     kind = spec.kind
     if kind in (ValueKind.INTEGER, ValueKind.LONG, ValueKind.PORT):
-        lo, hi = _plausible_window(*numeric_bounds(spec))
+        lo, hi = _plausible_window(*spec.bounds)
         return str(rng.randint(int(lo), int(hi)))
     if kind is ValueKind.FLOAT:
-        lo, hi = _plausible_window(*numeric_bounds(spec))
+        lo, hi = _plausible_window(*spec.bounds)
         return f"{rng.uniform(lo, hi):.6g}"
     if kind is ValueKind.BOOLEAN:
         return rng.choice(("true", "false"))
@@ -194,7 +193,7 @@ def _invalid_candidates(
     if subcat is Subcategory.SYNTAX_PERMISSION:
         return list(_BAD_PERMISSION)
     if subcat is Subcategory.RANGE_NUMERIC:
-        lo, hi = numeric_bounds(spec)
+        lo, hi = spec.bounds
         if kind is ValueKind.FLOAT:
             if spec.numeric_range is None:
                 return ["1e400", "-1e400"]
@@ -210,7 +209,7 @@ def _invalid_candidates(
         octets[rng.randrange(4)] = str(rng.randint(256, 999))
         return [fixed, ".".join(octets)]
     if subcat is Subcategory.RANGE_PORT:
-        lo, hi = numeric_bounds(spec)
+        lo, hi = spec.bounds
         out = [str(rng.randint(int(hi) + 1, 99999))]
         if lo > 0:
             out.append(str(int(lo) - 1))
@@ -264,10 +263,10 @@ def _ordered_pair(
 ) -> tuple[str, str] | None:
     """Construct in-range numeric values with v1 <relation> v2, or None when
     the windows make the relation unsatisfiable."""
-    if spec1.kind.rule.bounds is None or spec2.kind.rule.bounds is None:
+    if spec1.bounds is None or spec2.bounds is None:
         return None
-    lo1, hi1 = map(float, _plausible_window(*numeric_bounds(spec1)))
-    lo2, hi2 = map(float, _plausible_window(*numeric_bounds(spec2)))
+    lo1, hi1 = map(float, _plausible_window(*spec1.bounds))
+    lo2, hi2 = map(float, _plausible_window(*spec2.bounds))
     integral = spec1.kind is not ValueKind.FLOAT and spec2.kind is not ValueKind.FLOAT
     step = 1.0 if integral else max(abs(hi1), abs(hi2), 1.0) * 1e-4
 
@@ -359,7 +358,7 @@ def _eligible_by_subcategory(specs: SpecSet) -> dict[Subcategory, list[str]]:
 
 
 def _safe_companions(specs: SpecSet) -> list[str]:
-    version_names = specs.version_known_names()
+    version_names = specs.version_known_names
     return [
         name
         for name, spec in specs.parameters.items()

@@ -77,6 +77,20 @@ class TestMockBackend:
         text = query(backend, prompt)
         assert json.loads(text)["errParameter"] == ["a"]
 
+    @pytest.mark.parametrize("behavior", [MockBehavior.ECHO_GROUND_TRUTH, MockBehavior.NOISE_WITH_RATE])
+    def test_valid_fallback_built_only_for_files_without_truth(self, monkeypatch, behavior):
+        labeled = misconfig_labeled()
+        backend = MockBackend(MockScript(behavior, noise_rate=0.0, truth=truth_map([labeled])))
+        valid_text = confval.backend.valid_answer().to_json()
+
+        def unexpected():
+            raise AssertionError("built the valid answer for a file the truth map holds")
+
+        monkeypatch.setattr(confval.backend, "valid_answer", unexpected)
+        assert json.loads(query(backend, build_prompt(labeled.file, [])))["errParameter"] == ["a"]
+        monkeypatch.undo()
+        assert query(backend, build_prompt(target_file(("x", "y")), [])) == valid_text
+
     def test_always_valid(self):
         backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID))
         text = query(backend, build_prompt(target_file(), []))

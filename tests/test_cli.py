@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import confval
@@ -85,6 +85,25 @@ class TestGenDataset:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["name", "default", "options"])
+    def test_lone_surrogate_in_spec_exits_two(self, workspace, tmp_path, capsys, where):
+        doc = json.loads(workspace["spec_path"].read_text(encoding="utf-8"))
+        for parameter in doc["parameters"]:
+            if where in parameter and parameter["name"].endswith(".0"):
+                if where == "options":
+                    parameter["options"][0] += "\ud800x"
+                else:
+                    parameter[where] += "\ud800x"
+                break
+        else:
+            raise AssertionError(f"no parameter with a {where}")
+        spec_path = tmp_path / "surrogate.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")  # escaped as \ud800
+        code = main(["gen-dataset", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: invalid spec document" in err and "surrogates not allowed" in err
 
     def test_same_seed_is_byte_identical(self, workspace, tmp_path):
         other = tmp_path / "again"
@@ -601,6 +620,15 @@ def wrongly_typed_config(draw):
     return doc
 
 
+# pieces of both config dialects, so drawn bytes often parse
+CONFIG_TOKENS = [
+    "<configuration>", "</configuration>", "<property>", "</property>", "<name>", "</name>",
+    "<value>", "</value>", "<description>", "</description>", "<?xml version=\"1.0\"?>",
+    "readme.listen.port", "readme.node.label", "a", "=", "8020", "\\", "# ", "\n", " ", "&amp;",
+    "<", "\x00", "\ud7ff", "\u00e9",
+]
+
+
 def run_main(*argv) -> tuple[int, str]:
     """main() in this process: the exit code and stderr; any exception escapes."""
     err = io.StringIO()
@@ -715,6 +743,31 @@ class TestBoundaryFuzz:
         code, err = self._with_schema_version(document, version)
         assert code == 2
         assert "error:" in err
+
+    @fuzz
+    @given(
+        st.one_of(
+            st.binary(max_size=200),
+            st.lists(st.sampled_from(CONFIG_TOKENS), max_size=30).map("".join).map(str.encode),
+        ),
+        st.sampled_from([".xml", ".ini"]),
+        st.sampled_from(["echo_ground_truth", "always_valid", "malformed"]),
+    )
+    @example(b"\\readme.node.label=worker", ".ini", "echo_ground_truth")  # escapes to a CR in a name
+    def test_raw_bytes_validate_exits_zero_one_or_two(
+        self, readme_workspace, monkeypatch, data, suffix, behavior
+    ):
+        monkeypatch.chdir(readme_workspace)
+        Path(f"raw{suffix}").write_bytes(data)
+        Path("raw.json").write_text(
+            json.dumps({**readme_config(), "num_queries": 3, "mock": {"behavior": behavior}}),
+            encoding="utf-8",
+        )
+        code, _ = run_main(
+            "validate", "--file", f"raw{suffix}", "--project", "readme", "--version", "1.0.0",
+            "--config", "raw.json",
+        )
+        assert code in (0, 1, 2)
 
     @pytest.mark.parametrize("key", REPORT_KEYS)
     def test_report_without_required_key_exits_two(self, readme_workspace, monkeypatch, key):

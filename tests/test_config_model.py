@@ -10,6 +10,7 @@ from confval.config_model import (
     ConfigEntry,
     ConfigFile,
     ConfigFormat,
+    _unescape,
     _xml_text,
     compress,
     load_config_file,
@@ -225,6 +226,29 @@ def test_any_text_round_trips_or_xml_refuses_it(file):
 def test_xml_escape_matches_saxutils(text):
     """The local escape writes the bytes xml.sax.saxutils.escape wrote."""
     assert _xml_text(text) == escape(text, {"\r": "&#13;"})
+
+
+def _reference_unescape(text: str) -> str:
+    """The INI unescape as a character loop, before text without a backslash
+    was returned as it is."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append({"n": "\n", "r": "\r"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.one_of(st.sampled_from("\\nr=#"), _any_chars), max_size=40))
+def test_unescape_matches_the_character_loop(text):
+    assert _unescape(text) == _reference_unescape(text)
 
 
 @settings(max_examples=100)

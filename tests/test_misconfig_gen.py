@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import confval.misconfig_gen
 from confval.config_model import ConfigFormat
 from confval.constraints import (
     Comparator,
@@ -240,6 +241,26 @@ class TestBuildDataset:
             for lf in split.shot_pool + split.eval_set:
                 if lf.label is Label.MISCONFIG:
                     assert lf.injected.reason == oracle_validate(lf.file, specs)[0].detail
+
+    def test_each_attempt_calls_the_module_oracle_once(self, spec_set, monkeypatch):
+        """The benchmark counts generation attempts by patching
+        confval.misconfig_gen.oracle_validate; each assembled file is checked
+        once, through that name."""
+        calls = {"oracle": 0, "assemble": 0}
+        oracle, assemble = confval.misconfig_gen.oracle_validate, _FileBuilder._assemble
+
+        def counting_oracle(file, specs):
+            calls["oracle"] += 1
+            return oracle(file, specs)
+
+        def counting_assemble(builder, fixed):
+            calls["assemble"] += 1
+            return assemble(builder, fixed)
+
+        monkeypatch.setattr(confval.misconfig_gen, "oracle_validate", counting_oracle)
+        monkeypatch.setattr(_FileBuilder, "_assemble", counting_assemble)
+        split = build_dataset(spec_set, rng=random.Random(7))
+        assert calls["oracle"] == calls["assemble"] >= len(split.shot_pool) + len(split.eval_set)
 
     def test_zero_fault_property(self, spec_set, dataset):
         for lf in dataset.shot_pool + dataset.eval_set:
