@@ -8,11 +8,11 @@ interleaving because every response is a pure function of
 (seed, prompt fingerprint, per-prompt call index). The fingerprint is hashed
 once per prompt (Prompt.fingerprint), not once per query.
 
-Concurrency has one owner: each backend object gets one request pool of
-config.max_parallel threads, created on first use and shared by every
-caller. max_parallel is therefore a per-backend limit on requests in flight
-across all `evaluate --jobs` workers; --jobs only overlaps files. A batch
-hands the pool one drain task per thread it may use, not one task per slot.
+Concurrency has one owner: each backend object gets one request pool that
+starts threads on demand, up to config.max_parallel, and runs the drain tasks
+of every caller's batch first in, first out; each batch waits on one
+completion signal. max_parallel thus caps requests in flight across all
+`evaluate --jobs` workers; --jobs only overlaps files.
 
 `requests` is imported only by HttpBackend, so offline runs never load it.
 """
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+import queue
 import random
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -84,69 +84,105 @@ def query(backend: Backend, prompt: Prompt) -> str:
     return backend.query(prompt)
 
 
-# One request pool per backend. Keyed weakly, so a backend's worker threads
-# exit once the backend is collected; the pool itself holds no reference to
-# its backend. Kept outside the object so subclasses need not call
-# Backend.__init__.
-_pools: weakref.WeakKeyDictionary[Backend, ThreadPoolExecutor] = weakref.WeakKeyDictionary()
+# One request pool per backend, held outside it (subclasses need not call Backend.__init__)
+# and keyed weakly: a pool holds no reference to its backend and shuts down once it is collected.
+_pools: weakref.WeakKeyDictionary[Backend, _RequestPool] = weakref.WeakKeyDictionary()
 _pools_lock = threading.Lock()
 
 
-def _request_pool(backend: Backend) -> ThreadPoolExecutor:
+class _Batch:
+    """One query_batch call: results, slot counter, pending drain tasks, completion signal."""
+
+    def __init__(self, backend: Backend, prompt: Prompt, count: int):
+        self.backend, self.prompt, self.results = backend, prompt, [None] * count
+        self.next_slot, self.pending, self.error = 0, min(count, backend.config.max_parallel), None
+        self.lock, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()  # held until the batch is over; the caller blocks on it
+
+    def drain(self) -> BaseException | None:  # issues slots until none is left or one raises
+        while True:
+            with self.lock:
+                slot, self.next_slot = self.next_slot, self.next_slot + 1
+            if slot >= len(self.results):
+                return None
+            try:
+                self.results[slot] = query(self.backend, self.prompt)
+            except BackendError as exc:
+                self.results[slot] = exc
+            except BaseException as exc:  # handed to the caller; the pool thread lives on
+                return exc
+
+
+class _RequestPool:
+    """Up to max_parallel daemon threads serving one FIFO queue of drain tasks."""
+
+    def __init__(self, max_parallel: int):
+        self.max_parallel, self.closed = max_parallel, False
+        self.tasks, self.lock, self.threads = queue.SimpleQueue(), threading.Lock(), []
+        self.backlog = 0  # tasks queued minus threads waiting; a thread starts only while > 0
+
+    def submit(self, batch: _Batch, drains: int) -> None:
+        with self.lock:
+            if self.closed:
+                raise RuntimeError("request pool is shut down")
+            for _ in range(drains):
+                self.tasks.put(batch)
+            self.backlog += drains
+            while self.backlog > 0 and len(self.threads) < self.max_parallel:
+                name = f"confval-request_{len(self.threads)}"
+                self.threads.append(threading.Thread(target=self._serve, name=name, daemon=True))
+                self.threads[-1].start()
+                self.backlog -= 1
+
+    def _serve(self) -> None:
+        while (batch := self.tasks.get()) is not None:
+            error = batch.drain()
+            with self.lock:
+                self.backlog -= 1  # waiting again before the caller is signalled and submits more
+            with batch.lock:
+                if error is not None and batch.error is None:  # no further slot; the batch is over
+                    batch.error, batch.next_slot, batch.pending = error, len(batch.results), 1
+                batch.pending -= 1  # never reaches 0 again after the first foreign error
+                if batch.pending == 0:
+                    batch.done.release()
+            del batch, error  # hold no backend while waiting
+
+    def shutdown(self, wait: bool = True) -> None:
+        with self.lock:
+            self.closed = True
+            for _ in self.threads:
+                self.tasks.put(None)
+        for thread in self.threads if wait else ():
+            thread.join()
+
+
+def _request_pool(backend: Backend) -> _RequestPool:
     with _pools_lock:
         pool = _pools.get(backend)
         if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=backend.config.max_parallel, thread_name_prefix="confval-request"
-            )
-            _pools[backend] = pool
+            pool = _pools[backend] = _RequestPool(backend.config.max_parallel)
+            weakref.finalize(backend, pool.shutdown, False)
         return pool
 
 
 def query_batch(backend: Backend, prompt: Prompt, count: int) -> list[str | BackendError]:
     """count completions through the backend's shared request pool; slot order kept.
 
-    The pool has config.max_parallel threads and serves every caller of this
-    backend, so concurrent batches (one per `--jobs` file worker) together
-    never have more than max_parallel requests in flight. The batch submits
-    min(count, max_parallel) drain tasks, each taking the next unissued slot
-    until none is left.
-
-    A slot whose query ultimately fails contributes its BackendError instead
-    of text; callers decide how to treat partial failure. Any other exception
-    reaches the caller as soon as it is raised; the batch issues no further
-    slot after it, though slots already in flight run to completion.
+    The batch queues min(count, max_parallel) drain tasks, which the pool runs first
+    in, first out on threads it starts on demand up to max_parallel. The caller blocks
+    on the batch's one completion signal, given when the last drain task finishes. A
+    failed slot holds its BackendError; callers decide how to treat partial failure.
+    Any other exception gives the signal at once and reaches the caller; no further
+    slot is issued, though slots already in flight run to completion.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    results: list = [None] * count
-    lock = threading.Lock()
-    next_slot = 0
-
-    def drain() -> None:
-        nonlocal next_slot
-        while True:
-            with lock:
-                slot = next_slot
-                next_slot += 1
-            if slot >= count:
-                return
-            try:
-                results[slot] = query(backend, prompt)
-            except BackendError as exc:
-                results[slot] = exc
-            except BaseException:
-                with lock:
-                    next_slot = count
-                raise
-
-    pool = _request_pool(backend)
-    tasks = [pool.submit(drain) for _ in range(min(count, backend.config.max_parallel))]
-    # returns once every task is done, or as soon as one of them raises
-    done, _ = wait(tasks, return_when=FIRST_EXCEPTION)
-    for task in done:
-        task.result()
-    return results
+    batch = _Batch(backend, prompt, count)
+    _request_pool(backend).submit(batch, batch.pending)
+    batch.done.acquire()
+    if batch.error is not None:
+        raise batch.error
+    return batch.results
 
 
 # --- scripted mock ---

@@ -305,6 +305,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confval",
@@ -332,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--report", default=None, help="where to write the report JSON")
     p.add_argument("--sweep", action="store_true", help="run every shot combination")
-    p.add_argument("--max-shots", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-shots", type=_int_at_least(0), default=5)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 

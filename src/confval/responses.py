@@ -10,6 +10,7 @@ from .config_model import frozen_cached_property
 from .errors import ResponseFormatError
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9]*\n(.*?)```", re.DOTALL)
+_DECODER = json.JSONDecoder()  # stateless, like the one json.loads shares
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ def _candidate_regions(text: str) -> list[str]:
 
 
 def _top_level_objects(region: str) -> list[dict]:
-    decoder = json.JSONDecoder()
     objects = []
     pos = 0
     while True:
@@ -57,7 +57,7 @@ def _top_level_objects(region: str) -> list[dict]:
         if start == -1:
             break
         try:
-            obj, end = decoder.raw_decode(region, start)
+            obj, end = _DECODER.raw_decode(region, start)
         except json.JSONDecodeError:
             pos = start + 1
             continue

@@ -47,6 +47,37 @@ def misconfig_labeled(names=("a", "b", "c"), flagged="a"):
     return LabeledFile(target_file(names), Label.MISCONFIG, fault)
 
 
+def wait_until(predicate, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return predicate()
+
+
+def pool_idle(pool):
+    """Every pool thread waits for a task and none is queued."""
+    return pool.backlog == -len(pool.threads)
+
+
+def within_deadline(fn, seconds=10.0):
+    """fn() on a helper thread, so a batch that never completes fails the test instead of hanging it."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"no result within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
 class TestBackendConfig:
     def test_defaults_match_framework_defaults(self):
         cfg = BackendConfig()
@@ -270,6 +301,184 @@ class TestMockBackend:
         _request_pool(backend).shutdown(wait=True)
         # the failing slot, plus at most the one other thread's slot in flight
         assert backend.calls <= parallel
+
+    def test_threads_start_on_demand(self):
+        gc.collect()
+        before = set(threading.enumerate())
+        backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=64))
+        prompt = build_prompt(target_file(), [])
+        assert len(query_batch(backend, prompt, 6)) == 6
+        started = [t for t in set(threading.enumerate()) - before if t.name.startswith("confval-request")]
+        assert 1 <= len(started) <= 6
+        # every thread waits again before the batch's caller is signalled, so the next
+        # batches of this caller find them idle and start none
+        for _ in range(5):
+            assert len(query_batch(backend, prompt, 6)) == 6
+        assert set(threading.enumerate()) - before == set(started)
+
+    def test_concurrent_batches_fill_the_cap(self):
+        release = threading.Event()
+
+        class Blocking(Backend):
+            def __init__(self):
+                self.config = BackendConfig(max_parallel=8)
+                self.lock = threading.Lock()
+                self.in_flight = self.peak = self.calls = 0
+
+            def query(self, prompt):
+                with self.lock:
+                    self.calls += 1
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                release.wait(timeout=30)
+                with self.lock:
+                    self.in_flight -= 1
+                return "{}"
+
+        backend = Blocking()
+        prompt = build_prompt(target_file(), [])
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(query_batch(backend, prompt, 4)))
+            for _ in range(3)
+        ]
+        for caller in callers:
+            caller.start()
+        wait_until(lambda: backend.in_flight >= 8)
+        time.sleep(0.05)  # room for a ninth request, if the pool allowed one
+        peak_while_blocked = backend.peak
+        release.set()
+        for caller in callers:
+            caller.join(timeout=30)
+        assert not any(caller.is_alive() for caller in callers)
+        assert peak_while_blocked == 8
+        assert backend.peak == 8
+        assert results == [["{}"] * 4] * 3
+        assert backend.calls == 12
+
+    def test_queued_batches_are_served_whole_in_order(self):
+        entered, gate = threading.Event(), threading.Event()
+        prompts = {name: build_prompt(target_file((name,)), []) for name in ("first", "second", "third")}
+        names = {id(prompt): name for name, prompt in prompts.items()}
+
+        class Recording(Backend):
+            def __init__(self):
+                self.config = BackendConfig(max_parallel=1)
+                self.order = []
+
+            def query(self, prompt):
+                entered.set()
+                gate.wait(timeout=30)
+                self.order.append(names[id(prompt)])
+                return names[id(prompt)]
+
+        backend = Recording()
+        pool = _request_pool(backend)
+        results = {}
+
+        def ask(name):
+            results[name] = query_batch(backend, prompts[name], 3)
+
+        callers = [threading.Thread(target=ask, args=(name,)) for name in prompts]
+        callers[0].start()
+        assert entered.wait(timeout=10)  # the pool's one thread is busy with "first"
+        for queued, caller in enumerate(callers[1:], start=1):
+            caller.start()
+            assert wait_until(lambda: pool.tasks.qsize() == queued)
+        gate.set()
+        for caller in callers:
+            caller.join(timeout=30)
+        assert not any(caller.is_alive() for caller in callers)
+        assert backend.order == ["first"] * 3 + ["second"] * 3 + ["third"] * 3
+        assert results == {name: [name] * 3 for name in prompts}
+
+    def test_pool_outlives_a_foreign_error(self):
+        class FailsOnce(Backend):
+            def __init__(self):
+                self.config = BackendConfig(max_parallel=8)
+                self.lock = threading.Lock()
+                self.calls = 0
+
+            def query(self, prompt):
+                with self.lock:
+                    self.calls += 1
+                    call = self.calls
+                if call == 4:
+                    raise RuntimeError("backend bug")
+                return "{}"
+
+        backend = FailsOnce()
+        prompt = build_prompt(target_file(), [])
+        pool = _request_pool(backend)
+        assert within_deadline(lambda: query_batch(backend, prompt, 3)) == ["{}"] * 3
+        threads = list(pool.threads)
+        with pytest.raises(RuntimeError, match="backend bug"):
+            within_deadline(lambda: query_batch(backend, prompt, 3))
+        # the batch's other drain tasks may still be running; an idle pool starts no thread
+        assert wait_until(lambda: pool_idle(pool))
+        assert within_deadline(lambda: query_batch(backend, prompt, 3)) == ["{}"] * 3
+        assert pool.threads == threads
+        assert all(thread.is_alive() for thread in threads)
+
+    def test_foreign_error_does_not_wait_for_slots_in_flight(self):
+        entered, release = threading.Event(), threading.Event()
+
+        class FailsSecond(Backend):
+            def __init__(self):
+                self.config = BackendConfig(max_parallel=2)
+                self.lock = threading.Lock()
+                self.calls = 0
+
+            def query(self, prompt):
+                with self.lock:
+                    self.calls += 1
+                    call = self.calls
+                if call == 1:
+                    entered.set()
+                    release.wait(timeout=30)
+                    return "{}"
+                entered.wait(timeout=30)
+                raise RuntimeError("backend bug")
+
+        backend = FailsSecond()
+        try:
+            # the first call is still in flight when the error reaches the caller
+            with pytest.raises(RuntimeError, match="backend bug"):
+                within_deadline(lambda: query_batch(backend, build_prompt(target_file(), []), 4))
+        finally:
+            release.set()
+        _request_pool(backend).shutdown(wait=True)
+        assert backend.calls == 2
+
+    def test_pool_counts_hold_under_contention(self):
+        backend = Counting(MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=3)))
+        prompt = build_prompt(target_file(), [])
+        sizes = [1 + (i * 5) % 7 for i in range(20)]
+        failures = []
+
+        def ask():
+            for size in sizes:
+                if len(query_batch(backend, prompt, size)) != size:
+                    failures.append(size)
+
+        callers = [threading.Thread(target=ask) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert not failures
+        assert backend.calls == 8 * sum(sizes)
+        assert backend.peak <= 3
+        # a lost update to the count of queued tasks and waiting threads would show here
+        pool = _request_pool(backend)
+        assert wait_until(lambda: pool_idle(pool))
+        assert 1 <= len(pool.threads) <= 3
 
     def test_offline_import_leaves_requests_unloaded(self):
         code = "import sys, confval, confval.cli; print('requests' in sys.modules)"

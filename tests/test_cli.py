@@ -335,6 +335,29 @@ class TestExitCodeContract:
         self._assert_operational_error(result, "malformed dataset manifest")
 
     @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+            (["--jobs", "-3"], "argument --jobs: must be at least 1, got -3"),
+            (["--jobs", "two"], "argument --jobs: invalid integer value: 'two'"),
+            (["--sweep", "--max-shots", "-1"], "argument --max-shots: must be at least 0, got -1"),
+        ],
+    )
+    def test_count_flag_out_of_range_is_a_usage_error(self, workspace, flags, needle):
+        config = write_config(workspace["tmp"])
+        result = run_cli("evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config), *flags)
+        self._assert_operational_error(result, needle)
+        assert "usage:" in result.stderr
+        assert result.stdout == ""
+
+    def test_sweep_of_zero_shots_is_allowed(self, workspace):
+        config = write_config(workspace["tmp"])
+        dataset = ("--dataset", str(workspace["dataset"]), "--config", str(config))
+        result = run_cli("evaluate", *dataset, "--sweep", "--max-shots", "0")
+        assert result.returncode == 0, result.stderr
+        assert list(json.loads(result.stdout)["sweep"]) == ["0v0m"]
+
+    @pytest.mark.parametrize(
         "overrides, key",
         [
             ({"shots": 5}, "shots"),
