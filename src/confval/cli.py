@@ -19,7 +19,7 @@ from typing import Callable
 
 from .backend import Backend, BackendConfig, HttpBackend, MockBackend, MockBehavior, MockScript, truth_map
 from .config_model import load_config_file
-from .errors import ConfvalError, SpecError, check_schema_version
+from .errors import ConfvalError, SpecError, checked, read_document
 from .evaluation import REPORT_SCHEMA_VERSION, MetricsReport, report_csv_tables, run_evaluation, run_sweep
 from .misconfig_gen import DatasetSplit, build_dataset, write_dataset
 from .pipeline import PipelineSettings, validate_file
@@ -36,8 +36,7 @@ from .constraints import load_spec_set
 
 CONFIG_SCHEMA_VERSION = 1
 
-# The JSON types each framework config key accepts, by section. A bool is
-# never a number here, although Python counts it as an int.
+# The JSON types each framework config key accepts, by section.
 _NUMBER = (int, float)
 _PATH = (str, type(None))
 _BACKEND_KEYS = {
@@ -64,22 +63,9 @@ _TOP_KEYS = {
 }
 _SHOTS_KEYS = {"valid": (int,), "misconfig": (int,)}
 _MOCK_KEYS = {"behavior": (str,), "noise_rate": _NUMBER, "seed": (int, type(None)), "truth_from": _PATH}
-_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object", type(None): "null"}
+# a sweep document: one report per shot combination, keyed by its label
+_SWEEP_KEYS = {"schema_version": (int,), "sweep": (dict,)}
 _DEFAULT_MOCK = MockScript(noise_rate=0.2)
-
-
-def _checked(section: str, doc: object, types: dict[str, tuple[type, ...]]) -> dict:
-    """doc itself, once it is an object whose every key has an accepted JSON type."""
-    if not isinstance(doc, dict):
-        raise SpecError(f"framework config {section or 'document'} must be a JSON object")
-    for key, value in doc.items():
-        name = f"{section}.{key}" if section else key
-        if key not in types:
-            raise SpecError(f"unknown framework config key {name!r}")
-        if isinstance(value, bool) or not isinstance(value, types[key]):
-            expected = " or ".join(_JSON_NAMES[t] for t in types[key])
-            raise SpecError(f"framework config key {name!r} must be {expected}, got {value!r}")
-    return doc
 
 
 @dataclass(frozen=True)
@@ -107,20 +93,18 @@ class FrameworkConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FrameworkConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SpecError(f"cannot read framework config {path}: {exc}") from exc
-        _checked("", doc, _TOP_KEYS)
-        check_schema_version(doc, CONFIG_SCHEMA_VERSION, f"framework config {path}")
-        shots = _checked("shots", doc.get("shots", {}), _SHOTS_KEYS)
-        mock = _checked("mock", doc.get("mock", {}), _MOCK_KEYS)
+        what = f"framework config {path}"
+        doc = checked(read_document(path, "framework config", CONFIG_SCHEMA_VERSION), _TOP_KEYS, what)
+        shots = checked(doc.get("shots", {}), _SHOTS_KEYS, f"{what} section 'shots'")
+        mock = checked(doc.get("mock", {}), _MOCK_KEYS, f"{what} section 'mock'")
         template = DEFAULT_QUESTION_TEMPLATE
         if doc.get("question_template_path"):
             try:
                 template = Path(doc["question_template_path"]).read_text(encoding="utf-8").strip()
-            except OSError as exc:
-                raise SpecError(f"cannot read question template: {exc}") from exc
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an unencodable path
+                raise SpecError(
+                    f"cannot read question template {doc['question_template_path']!r}: {exc}"
+                ) from exc
         try:
             settings = PipelineSettings(
                 combination=ShotCombination(
@@ -251,10 +235,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
     """Table lines for a report or sweep document, plus the rebuilt report."""
-    if isinstance(doc, dict) and "sweep" in doc:
-        check_schema_version(doc, REPORT_SCHEMA_VERSION, "sweep document")
+    if "sweep" in doc:
+        sweep = checked(doc, _SWEEP_KEYS, "sweep document")["sweep"]
         lines = [f"{'combination':<12} {'file F1':>8} {'param F1':>9} {'files':>6}"]
-        for label, entry in sorted(doc["sweep"].items()):
+        for label, entry in sorted(sweep.items()):
             report = MetricsReport.from_dict(entry)
             lines.append(
                 f"{label:<12} {report.macro['file']['f1']:>8.3f} "
@@ -278,8 +262,8 @@ def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = read_document(args.report, "report", REPORT_SCHEMA_VERSION)
+    except ConfvalError as exc:
         _progress(f"error: {exc}")
         return 2
     try:

@@ -31,7 +31,14 @@ from pathlib import Path
 from typing import Callable
 
 from .config_model import ConfigFile, ConfigFormat, frozen_cached_property
-from .errors import DependencyEvalError, SpecError, UnknownParameterError, check_schema_version
+from .errors import (
+    DependencyEvalError,
+    SpecError,
+    UnknownParameterError,
+    check_schema_version,
+    checked,
+    read_document,
+)
 
 
 class ValueKind(Enum):
@@ -515,6 +522,37 @@ def oracle_validate(file: ConfigFile, specs: SpecSet) -> list[Violation]:
 
 SPEC_SCHEMA_VERSION = 1
 
+# the JSON types each key of a spec document, a parameter, a dependency and a version change accepts
+_SPEC_KEYS = {
+    "schema_version": (int,),
+    "project": (str,),
+    "version": (str,),
+    "file_format": (str,),
+    "parameters": ([dict],),
+    "dependencies": ([dict],),
+    "version_changes": ([dict],),
+}
+_PARAMETER_KEYS = {
+    "name": (str,),
+    "kind": (str,),
+    "range": ([int, float], type(None)),
+    "default": (str, type(None)),
+    "options": ([str],),
+    "units": ([str],),
+    "description": (str, type(None)),
+}
+_DEPENDENCY_KEYS = {
+    "kind": (str,), "p1": (str,), "p2": (str,), "comparator": (str,), "value": (str, type(None)),
+}
+_VERSION_CHANGE_KEYS = {
+    "v1": (str,), "v2": (str,), "removed_in_v2": ([str],), "added_in_v2": ([str],),
+}
+_ITEM_KEYS = {
+    "parameters": _PARAMETER_KEYS,
+    "dependencies": _DEPENDENCY_KEYS,
+    "version_changes": _VERSION_CHANGE_KEYS,
+}
+
 
 def spec_set_to_dict(specs: SpecSet) -> dict:
     params = []
@@ -558,6 +596,10 @@ def spec_set_to_dict(specs: SpecSet) -> dict:
 
 
 def spec_set_from_dict(doc: dict) -> SpecSet:
+    checked(doc, _SPEC_KEYS, "spec document")
+    for key, types in _ITEM_KEYS.items():
+        for i, item in enumerate(doc.get(key, ())):
+            checked(item, types, f"spec document {key}[{i}]")
     check_schema_version(doc, SPEC_SCHEMA_VERSION, "spec document")
     try:
         json.dumps(doc, ensure_ascii=False).encode("utf-8")  # no lone surrogates
@@ -604,12 +646,7 @@ def spec_set_from_dict(doc: dict) -> SpecSet:
 
 
 def load_spec_set(path: str | Path) -> SpecSet:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read spec document {path}: {exc}") from exc
-    return spec_set_from_dict(doc)
+    return spec_set_from_dict(read_document(path, "spec document", SPEC_SCHEMA_VERSION))
 
 
 def save_spec_set(specs: SpecSet, path: str | Path) -> None:

@@ -1,4 +1,10 @@
-"""Shared exception hierarchy, and the schema_version check every loader makes."""
+"""Shared exception hierarchy, and the one way every JSON document confval
+loads is read and checked: for each of them, a file that is not UTF-8 JSON,
+an unknown key or a value of the wrong JSON type is a SpecError naming the
+path or the key, which the command line turns into exit code 2."""
+
+import json
+from pathlib import Path
 
 
 class ConfvalError(Exception):
@@ -20,7 +26,9 @@ class ConfigRenderError(ConfvalError):
 
 
 class SpecError(ConfvalError):
-    """A parameter specification document is invalid."""
+    """A JSON document (framework config, spec document, corpus manifest or
+    report) is unreadable, not UTF-8 JSON, mistyped, or holds an unknown key
+    or an unusable value."""
 
 
 class SchemaVersionError(ConfvalError):
@@ -36,6 +44,50 @@ def check_schema_version(doc: object, supported: int, what: str) -> None:
             raise SchemaVersionError(
                 f"{what} has schema_version {version!r}; only {supported} is supported"
             )
+
+
+def read_document(path: str | Path, what: str, supported: int) -> dict:
+    """The JSON object stored at path; SpecError naming the path for a file that is
+    not strict UTF-8 JSON holding an object, SchemaVersionError for another schema."""
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, bad JSON, unencodable path
+        raise SpecError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} {path} must be a JSON object")
+    check_schema_version(doc, supported, f"{what} {path}")
+    return doc
+
+
+_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object", type(None): "null"}
+
+
+def _json_name(kind) -> str:
+    if isinstance(kind, list):
+        return "array of " + " or ".join(_JSON_NAMES[k] + "s" for k in kind)
+    return _JSON_NAMES[kind]
+
+
+def _matches(value: object, kind) -> bool:
+    # a bool is never a number here, although Python counts it as an int
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(any(_matches(v, k) for k in kind) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def checked(doc: object, types: dict[str, tuple], what: str) -> dict:
+    """doc itself, once it is a JSON object whose every key is in types and holds
+    a kind listed there: a type, or a list of types for an array whose every
+    item has one of them. Which keys must be present is the caller's concern."""
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} must be a JSON object")
+    for key, value in doc.items():
+        if key not in types:
+            raise SpecError(f"{what}: unknown key {key!r}")
+        if not any(_matches(value, kind) for kind in types[key]):
+            expected = " or ".join(_json_name(kind) for kind in types[key])
+            raise SpecError(f"{what}: key {key!r} must be a JSON {expected}, got {value!r}")
+    return doc
 
 
 class UnknownParameterError(ConfvalError):

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 
 from .backend import Backend
-from .errors import ConfvalError, check_schema_version
+from .errors import ConfvalError, check_schema_version, checked
 from .misconfig_gen import DatasetSplit, Label, LabeledFile
 from .pipeline import PipelineSettings, Verdict, validate_file
 from .prompting import SelectionStrategy, ShotDatabase, enumerate_shot_combinations
@@ -195,14 +193,16 @@ def bucket_by_param_count(results: list[ScoredFile]) -> dict[str, float]:
     return {label: f1(pooled[label]) for label in labels if label in pooled}
 
 
-# the JSON type of each top-level report key; only failures may be absent
-_REPORT_TYPES = {
-    "per_project": dict,
-    "macro": dict,
-    "micro_f1_by_subcategory": dict,
-    "f1_by_param_count": dict,
-    "files_scored": int,
-    "failures": list,
+# the JSON types of each report key; every key but schema_version and failures
+# must be present
+_REPORT_KEYS = {
+    "schema_version": (int,),
+    "per_project": (dict,),
+    "macro": (dict,),
+    "micro_f1_by_subcategory": (dict,),
+    "f1_by_param_count": (dict,),
+    "files_scored": (int,),
+    "failures": ([dict],),
 }
 
 
@@ -228,28 +228,18 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: object) -> "MetricsReport":
-        """Inverse of to_dict. Raises KeyError for a missing key, ValueError
-        for a part of the wrong JSON type and SchemaVersionError for a report
-        of another schema."""
-        if not isinstance(doc, dict):
-            raise ValueError("a report must be a JSON object")
+        """Inverse of to_dict. Raises KeyError for a missing key, SpecError for
+        an unknown key or a part of the wrong JSON type and SchemaVersionError
+        for a report of another schema."""
+        checked(doc, _REPORT_KEYS, "report")
         check_schema_version(doc, REPORT_SCHEMA_VERSION, "report")
-        doc = {"failures": [], **doc}
-        for key, kind in _REPORT_TYPES.items():
-            if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
-                raise ValueError(f"report key {key!r} must be a JSON {kind.__name__}")
         return cls(
             per_project=doc["per_project"],
             macro=doc["macro"],
             micro_f1_subcategory=doc["micro_f1_by_subcategory"],
             f1_by_param_count=doc["f1_by_param_count"],
             files_scored=doc["files_scored"],
-            failures=tuple(doc["failures"]),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            failures=tuple(doc.get("failures", ())),
         )
 
 

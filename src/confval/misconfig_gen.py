@@ -37,7 +37,7 @@ from .constraints import (
     oracle_validate,
     value_violation,
 )
-from .errors import GenerationError, SpecError, check_schema_version
+from .errors import GenerationError, SpecError, checked, read_document
 
 MAX_ATTEMPTS = 40
 ENTRIES_PER_FILE = 8
@@ -470,11 +470,7 @@ class _FileBuilder:
         raise GenerationError(f"could not build a violation-free file for {parameter!r}")
 
 
-def build_dataset(
-    specs: SpecSet,
-    rng: random.Random | int = 0,
-    entries_per_file: int = ENTRIES_PER_FILE,
-) -> DatasetSplit:
+def build_dataset(specs: SpecSet, rng: random.Random | int = 0) -> DatasetSplit:
     """Sample parameters per sub-category and emit the shot pool / eval set.
 
     Sub-categories with at least SAMPLE_PER_SUBCATEGORY eligible parameters
@@ -484,7 +480,7 @@ def build_dataset(
     """
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    builder = _FileBuilder(specs, rng, entries_per_file)
+    builder = _FileBuilder(specs, rng, ENTRIES_PER_FILE)
     eligible = _eligible_by_subcategory(specs)
 
     shot_pool: list[LabeledFile] = []
@@ -513,6 +509,14 @@ def build_dataset(
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
+# the JSON types of each manifest key, and of each key of a file row
+_MANIFEST_KEYS = {"schema_version": (int,), "project": (str,), "version": (str,), "files": ([dict],)}
+_ROW_KEYS = {
+    "path": (str,), "split": (str,), "label": (str,), "bucket": (str,), "format": (str,),
+    "entry_count": (int,), "content_key": (str,),
+    # misconfig rows only
+    "parameter": (str,), "category": (str,), "subcategory": (str,), "reason": (str,),
+}
 
 
 def write_dataset(split: DatasetSplit, root: str | Path, specs: SpecSet) -> Path:
@@ -579,13 +583,15 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
     from .config_model import load_config_file  # local import keeps module load light
 
     project_dir = manifest_path.parent
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    check_schema_version(manifest, MANIFEST_SCHEMA_VERSION, f"dataset manifest {manifest_path}")
-    project = _typed(manifest, "project", str)
-    version = _typed(manifest, "version", str)
+    what = f"dataset manifest {manifest_path}"
+    manifest = read_document(manifest_path, "dataset manifest", MANIFEST_SCHEMA_VERSION)
+    checked(manifest, _MANIFEST_KEYS, what)
+    project = manifest["project"]
+    version = manifest["version"]
     shots: list[LabeledFile] = []
     evals: list[LabeledFile] = []
-    for row in _typed(manifest, "files", list):
+    for i, row in enumerate(manifest["files"]):
+        checked(row, _ROW_KEYS, f"{what} files[{i}]")
         file = load_config_file(
             project_dir / row["path"],
             project,
@@ -601,7 +607,7 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
             injected = InjectedFault(
                 parameter=row["parameter"],
                 subcategory=Subcategory(row["subcategory"]),
-                reason=_typed(row, "reason", str),
+                reason=row["reason"],
             )
         bucket = None if row["bucket"] == "unbucketed" else Subcategory(row["bucket"])
         labeled = LabeledFile(file, Label(row["label"]), injected, bucket=bucket)
@@ -609,11 +615,3 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
             raise ValueError(f"unknown split {row['split']!r}")
         (shots if row["split"] == "shot_pool" else evals).append(labeled)
     return project, DatasetSplit(tuple(shots), tuple(evals))
-
-
-def _typed(doc: dict, key: str, kind: type):
-    """doc[key], which must be of the given JSON type; KeyError when absent."""
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise TypeError(f"{key!r} must be a {kind.__name__}, not {type(value).__name__}")
-    return value

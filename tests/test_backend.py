@@ -616,4 +616,5 @@ def test_http_backend_against_local_server(monkeypatch):
         assert text == "echo:test-model:1"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

@@ -312,6 +312,14 @@ class TestExitCodeContract:
         result = self._evaluate(workspace, question_template_path=str(missing))
         self._assert_operational_error(result, "cannot read question template")
 
+    @pytest.mark.parametrize("how", ["latin1", "surrogate_path"])
+    def test_unreadable_question_template(self, workspace, how):
+        template = workspace["tmp"] / "question.txt"
+        template.write_bytes("Is this caf\u00e9 [PROJECT] file valid?".encode("latin-1"))
+        path = str(template) if how == "latin1" else "\ud800"
+        result = self._evaluate(workspace, question_template_path=path)
+        self._assert_operational_error(result, "cannot read question template")
+
     def test_tampered_corpus_file(self, workspace):
         row = manifest_rows(workspace["dataset"])[0]
         path = workspace["dataset"] / "clitest" / row["path"]
@@ -626,6 +634,40 @@ def mutate_manifest(manifest, where, key, how, pick, value):
         doc["path"] = f"missing/{doc['path']}"
 
 
+# the JSON kinds each key of a spec document accepts, by where it sits: the
+# document itself, a parameter, a dependency or a version change
+OPTIONAL_TEXT = {"string", "null"}
+SPEC_FIELDS = {
+    "spec": {
+        "schema_version": {"integer"}, "project": {"string"}, "version": {"string"},
+        "file_format": {"string"}, "parameters": {"array"}, "dependencies": {"array"},
+        "version_changes": {"array"},
+    },
+    "parameters": {
+        "name": {"string"}, "kind": {"string"}, "range": {"array", "null"}, "default": OPTIONAL_TEXT,
+        "options": {"array"}, "units": {"array"}, "description": OPTIONAL_TEXT,
+    },
+    "dependencies": {
+        "kind": {"string"}, "p1": {"string"}, "p2": {"string"}, "comparator": {"string"},
+        "value": OPTIONAL_TEXT,
+    },
+    "version_changes": {
+        "v1": {"string"}, "v2": {"string"}, "removed_in_v2": {"array"}, "added_in_v2": {"array"},
+    },
+}
+
+
+@st.composite
+def spec_mutation(draw):
+    """One way to break a spec document: a key set to a JSON kind it does not
+    accept, or an unknown key, in the document or in one of its items."""
+    where = draw(st.sampled_from(sorted(SPEC_FIELDS)))
+    key = draw(st.sampled_from(sorted(SPEC_FIELDS[where]) + ["unknown"]))
+    accepted = SPEC_FIELDS[where].get(key, set())
+    value = draw(st.one_of(*(strategy for kind, strategy in JSON_KINDS.items() if kind not in accepted)))
+    return where, key, draw(st.integers(min_value=0, max_value=10_000)), value
+
+
 def readme_config() -> dict:
     section = README.read_text(encoding="utf-8").split("### Framework config", 1)[1]
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
@@ -753,6 +795,53 @@ class TestBoundaryFuzz:
             path.write_text(original, encoding="utf-8")
         assert code == 2
         assert "error:" in err
+
+    # as many draws as the manifest property: there are 27 (where, key) pairs
+    @settings(fuzz, max_examples=150)
+    @given(spec_mutation())
+    def test_broken_spec_exits_two(self, readme_workspace, monkeypatch, mutation):
+        monkeypatch.chdir(readme_workspace)
+        spec = json.loads(Path("spec.json").read_text(encoding="utf-8"))
+        where, key, pick, value = mutation
+        (spec if where == "spec" else spec[where][pick % len(spec[where])])[key] = value
+        Path("mutated-spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        shutil.rmtree("mutated-corpus", ignore_errors=True)
+        code, err = run_main("gen-dataset", "--spec", "mutated-spec.json", "--out", "mutated-corpus")
+        assert code == 2
+        assert "error:" in err
+        assert not Path("mutated-corpus").exists()
+
+    @pytest.mark.parametrize(
+        "document, command",
+        [
+            ("spec.json", "gen-dataset"),
+            ("confval.json", "validate"),
+            ("confval.json", "evaluate"),
+            ("dataset/readme/manifest.json", "evaluate"),
+            ("report.json", "report"),
+        ],
+    )
+    def test_document_not_utf8_exits_two(self, readme_workspace, monkeypatch, document, command):
+        monkeypatch.chdir(readme_workspace)
+        Path("confval.json").write_text(json.dumps(readme_config()), encoding="utf-8")
+        path = Path(document)
+        original = path.read_bytes()
+        path.write_bytes(b'{"caf\xe9": 1, ' + original.lstrip()[1:])  # a Latin-1 key
+        target = next(Path("dataset/readme/eval_set").rglob("*.*"))
+        argv = {
+            "gen-dataset": ["--spec", document, "--out", "latin1-corpus"],
+            "validate": [
+                "--file", str(target), "--project", "readme", "--version", "1.0.0", "--config", document,
+            ],
+            "evaluate": ["--dataset", "dataset", "--config", "confval.json"],
+            "report": ["--report", document],
+        }[command]
+        try:
+            code, err = run_main(command, *argv)
+        finally:
+            path.write_bytes(original)
+        assert code == 2
+        assert "error: cannot read" in err and document in err
 
     @pytest.mark.parametrize("document", VERSIONED)
     def test_supported_schema_version_succeeds(self, readme_workspace, monkeypatch, document):

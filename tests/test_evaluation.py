@@ -14,7 +14,7 @@ import confval.prompting
 from confval.backend import Backend, BackendConfig, MockBackend, MockBehavior, MockScript, truth_map
 from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
 from confval.constraints import Subcategory
-from confval.errors import BackendError
+from confval.errors import BackendError, SpecError
 from confval.evaluation import (
     Cell,
     ConfusionMatrix,
@@ -211,7 +211,7 @@ class TestAggregation:
     )
     def test_from_dict_names_a_malformed_document(self, mutate):
         doc = build_report(self._scored()).to_dict()
-        with pytest.raises(ValueError, match="must be a JSON"):
+        with pytest.raises(SpecError, match="must be a JSON"):
             MetricsReport.from_dict(mutate(doc))
 
     def test_empty_subcategory_absent(self):
