@@ -2,8 +2,11 @@
 
 Exit codes form a stable contract for CI gating: 0 means the validated file
 looks correct, 1 means a misconfiguration verdict, 2 and above mean an
-operational error. Progress goes to stderr; stdout carries machine output
-only (verdict or report JSON, count summaries).
+operational error. Every operational error, a failed write to an output path
+or to stdout (a closed pipe, a full disk) included, exits 2 with one
+``error:`` line on stderr and no traceback; ``main`` is the one place that
+turns it into that exit code. Progress goes to stderr; stdout carries machine
+output only (verdict or report JSON, count summaries).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, replace
@@ -130,34 +134,27 @@ class FrameworkConfig:
         except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid framework config: {exc}") from exc
 
-    def pipeline_settings(self, seed: int | None = None) -> PipelineSettings:
-        """The settings, with the seed replaced when one is given."""
-        return self.settings if seed is None else replace(self.settings, seed=seed)
 
-
-_CorpusLoader = Callable[[str], dict[str, DatasetSplit]]
-
-
-def _corpus_loader() -> _CorpusLoader:
-    """load_corpus that reads each root once, however often a command asks for it."""
+def _set_up(
+    cfg: FrameworkConfig, seed: int | None, dataset: str | None
+) -> tuple[PipelineSettings, Backend, ShotDatabase, dict[str, DatasetSplit]]:
+    """What validate and evaluate run with: the settings (the seed replaced when
+    one is given), the backend, the shot database and the corpus at dataset,
+    which is read first and stands in for the mock's truth and the shot database
+    when the config names neither. Each corpus root is read once."""
     load = functools.cache(load_corpus)
-    return lambda root: load(Path(root))
-
-
-def _make_backend(
-    cfg: FrameworkConfig, settings: PipelineSettings, truth_root: str | None, load: _CorpusLoader
-) -> Backend:
+    datasets = load(Path(dataset)) if dataset else {}
+    settings = cfg.settings if seed is None else replace(cfg.settings, seed=seed)
     if cfg.backend == "http":
-        return HttpBackend(cfg.backend_config)
-    source = truth_root or cfg.mock_truth_from or cfg.shot_db
-    truth = truth_map(load(source).values()) if source else {}
-    seed = settings.seed if cfg.mock_seed is None else cfg.mock_seed
-    return MockBackend(replace(cfg.mock, truth=truth, seed=seed), cfg.backend_config)
-
-
-def _shot_database(cfg: FrameworkConfig, fallback_root: str | None, load: _CorpusLoader) -> ShotDatabase:
-    source = cfg.shot_db or fallback_root
-    return shot_db_from(load(source).values()) if source else ShotDatabase([])
+        backend: Backend = HttpBackend(cfg.backend_config)
+    else:
+        source = dataset or cfg.mock_truth_from or cfg.shot_db
+        truth = truth_map(load(Path(source)).values()) if source else {}
+        mock_seed = settings.seed if cfg.mock_seed is None else cfg.mock_seed
+        backend = MockBackend(replace(cfg.mock, truth=truth, seed=mock_seed), cfg.backend_config)
+    source = cfg.shot_db or dataset
+    shot_db = shot_db_from(load(Path(source)).values()) if source else ShotDatabase([])
+    return settings, backend, shot_db, datasets
 
 
 def _progress(message: str) -> None:
@@ -165,13 +162,9 @@ def _progress(message: str) -> None:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
-    try:
-        specs = load_spec_set(args.spec)
-        split = build_dataset(specs, rng=random.Random(args.seed))
-        project_dir = write_dataset(split, args.out, specs)
-    except (ConfvalError, OSError) as exc:
-        _progress(f"error: {exc}")
-        return 2
+    specs = load_spec_set(args.spec)
+    split = build_dataset(specs, rng=random.Random(args.seed))
+    project_dir = write_dataset(split, args.out, specs)
     counts: dict[str, dict[str, int]] = {}
     for split_name, files in (("shot_pool", split.shot_pool), ("eval_set", split.eval_set)):
         for lf in files:
@@ -184,51 +177,34 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        cfg = FrameworkConfig.from_file(args.config)
-        target = load_config_file(args.file, args.project, args.version)
-        settings = cfg.pipeline_settings(args.seed)
-        load = _corpus_loader()
-        backend = _make_backend(cfg, settings, None, load)
-        shot_db = _shot_database(cfg, None, load)
-        verdict = validate_file(target, backend, shot_db, settings)
-    except (ConfvalError, OSError) as exc:
-        _progress(f"error: {exc}")
-        return 2
+    cfg = FrameworkConfig.from_file(args.config)
+    target = load_config_file(args.file, args.project, args.version)
+    settings, backend, shot_db, _ = _set_up(cfg, args.seed, None)
+    verdict = validate_file(target, backend, shot_db, settings)
     print(json.dumps(verdict.to_report(str(args.file)), indent=2, sort_keys=True))
     return 1 if verdict.hasError else 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        cfg = FrameworkConfig.from_file(args.config)
-        settings = cfg.pipeline_settings(args.seed)
-        load = _corpus_loader()
-        datasets = load(args.dataset)
-        backend = _make_backend(cfg, settings, args.dataset, load)
-        shot_db = _shot_database(cfg, args.dataset, load)
-        eval_total = sum(len(split.eval_set) for split in datasets.values())
-        _progress(f"evaluating {eval_total} files from {len(datasets)} project(s)")
-        if args.sweep:
-            reports = run_sweep(
-                datasets, backend, shot_db, settings, max_shots=args.max_shots, jobs=args.jobs
-            )
-            doc = {
-                "schema_version": REPORT_SCHEMA_VERSION,
-                "sweep": {label: report.to_dict() for label, report in reports.items()},
-            }
-            systemic = all(r.files_scored == 0 for r in reports.values())
-        else:
-            report = run_evaluation(datasets, backend, shot_db, settings, jobs=args.jobs)
-            doc = report.to_dict()
-            systemic = report.files_scored == 0
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if args.report:
-            Path(args.report).write_text(text + "\n", encoding="utf-8")
-            _progress(f"report written to {args.report}")
-    except (ConfvalError, OSError) as exc:
-        _progress(f"error: {exc}")
-        return 2
+    cfg = FrameworkConfig.from_file(args.config)
+    settings, backend, shot_db, datasets = _set_up(cfg, args.seed, args.dataset)
+    eval_total = sum(len(split.eval_set) for split in datasets.values())
+    _progress(f"evaluating {eval_total} files from {len(datasets)} project(s)")
+    if args.sweep:
+        reports = run_sweep(datasets, backend, shot_db, settings, max_shots=args.max_shots, jobs=args.jobs)
+        doc = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "sweep": {label: report.to_dict() for label, report in reports.items()},
+        }
+        systemic = all(r.files_scored == 0 for r in reports.values())
+    else:
+        report = run_evaluation(datasets, backend, shot_db, settings, jobs=args.jobs)
+        doc = report.to_dict()
+        systemic = report.files_scored == 0
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if args.report:
+        Path(args.report).write_text(text + "\n", encoding="utf-8")
+        _progress(f"report written to {args.report}")
     print(text)
     return 2 if systemic else 0
 
@@ -261,29 +237,22 @@ def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        doc = read_document(args.report, "report", REPORT_SCHEMA_VERSION)
-    except ConfvalError as exc:
-        _progress(f"error: {exc}")
-        return 2
+    doc = read_document(args.report, "report", REPORT_SCHEMA_VERSION)
     try:
         lines, report = _render_report(doc)
         tables = report_csv_tables(report) if args.csv and report else {}
+        # a lone surrogate in a label can be neither printed nor written as UTF-8
+        for line in (*lines, *"".join(tables.values()).splitlines()):
+            line.encode("utf-8")
     except (ConfvalError, KeyError, TypeError, AttributeError, ValueError) as exc:
-        _progress(f"error: malformed report {args.report}: {exc!r}")
-        return 2
+        raise SpecError(f"malformed report {args.report}: {exc!r}") from exc
     if args.csv and report is None:
-        _progress(f"error: --csv needs a single evaluate report; {args.report} is a sweep")
-        return 2
+        raise SpecError(f"--csv needs a single evaluate report; {args.report} is a sweep")
     if tables:
         out_dir = Path(args.csv)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for name, text in tables.items():
-                (out_dir / f"{name}.csv").write_text(text, encoding="utf-8")
-        except OSError as exc:
-            _progress(f"error: {exc}")
-            return 2
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in tables.items():
+            (out_dir / f"{name}.csv").write_text(text, encoding="utf-8")
         _progress(f"CSV tables written to {out_dir}")
     print("\n".join(lines))
     return 0
@@ -337,8 +306,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    An operational error (a ConfvalError, or an OSError from reading an input or
+    writing an output path or stdout, such as a closed pipe or a full disk)
+    prints one ``error:`` line on stderr and returns 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except (ConfvalError, OSError) as exc:
+        _progress(f"error: {exc}")
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself failed: point it at devnull, so the flush at exit
+            # finds somewhere to write what is still buffered
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -171,10 +171,6 @@ def load_config_file(
     return parse_config(text, format, project, version)
 
 
-def write_config_file(file: ConfigFile, path: str | Path) -> None:
-    Path(path).write_text(render_config(file, file.format), encoding="utf-8")
-
-
 # --- XML dialect ---
 
 

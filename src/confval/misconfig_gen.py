@@ -338,22 +338,14 @@ def _solve_pair(
 # --- dataset construction ---
 
 
-def _version_eligible(specs: SpecSet) -> list[str]:
-    names: set[str] = set()
-    for change in specs.version_changes:
-        if specs.version == change.v2:
-            names |= change.removed_in_v2
-        if specs.version == change.v1:
-            names |= change.added_in_v2
-    return sorted(names)
-
-
 def _eligible_by_subcategory(specs: SpecSet) -> dict[Subcategory, list[str]]:
     eligible: dict[Subcategory, list[str]] = {sc: [] for sc in ALL_SUBCATEGORIES}
     for name, spec in specs.parameters.items():
         for sc in assign_subcategories(spec):
             eligible[sc].append(name)
-    eligible[Subcategory.VERSION_PARAMETER_CHANGE] = _version_eligible(specs)
+    eligible[Subcategory.VERSION_PARAMETER_CHANGE] = sorted(
+        name for name, version in specs.version_violations if version == specs.version
+    )
     return {sc: names for sc, names in eligible.items() if names}
 
 

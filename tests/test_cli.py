@@ -475,6 +475,41 @@ class TestExitCodeContract:
         self._assert_operational_error(result, "malformed report")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["gen-dataset", "validate", "evaluate", "report"])
+    def test_stdout_closed_before_the_write(self, workspace, command, unbuffered):
+        tmp, dataset = workspace["tmp"], workspace["dataset"]
+        config = write_config(tmp, shot_db=str(dataset))
+        argv = {
+            "gen-dataset": ["--spec", str(workspace["spec_path"]), "--out", str(tmp / "again")],
+            "validate": [
+                "--file", str(dataset / "clitest" / manifest_rows(dataset)[0]["path"]),
+                "--project", "clitest", "--version", "1.0.0", "--config", str(config),
+            ],
+            "evaluate": ["--dataset", str(dataset), "--config", str(config)],
+            "report": ["--report", str(tmp / "report.json")],
+        }[command]
+        if command == "report":
+            evaluate = ["evaluate", "--dataset", str(dataset), "--config", str(config), "--report", argv[1]]
+            assert main(evaluate) == 0
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(confval.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes anything
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "confval.cli", command, *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith("error:")
+
 
 def test_eval_set_has_both_labels(workspace):
     labels = {row["label"] for row in manifest_rows(workspace["dataset"])}
@@ -488,9 +523,8 @@ class TestFrameworkConfig:
         cfg = FrameworkConfig.from_file(write_config(tmp_path, num_queries=10))
         assert cfg.settings.num_queries == 10
         assert cfg.backend_config.temperature == 0.2
-        settings = cfg.pipeline_settings()
-        assert settings.combination.valid_count == 1
-        assert settings.combination.misconfig_count == 3
+        assert cfg.settings.combination.valid_count == 1
+        assert cfg.settings.combination.misconfig_count == 3
 
     def test_question_template_override(self, tmp_path):
         from confval.cli import FrameworkConfig
@@ -502,8 +536,7 @@ class TestFrameworkConfig:
         cfg = FrameworkConfig.from_file(
             write_config(tmp_path, question_template_path=str(template))
         )
-        settings = cfg.pipeline_settings()
-        assert settings.question_template.startswith("Inspect this [PROJECT]")
+        assert cfg.settings.question_template.startswith("Inspect this [PROJECT]")
 
     def test_unknown_backend_rejected(self, tmp_path):
         from confval.cli import FrameworkConfig
@@ -887,6 +920,21 @@ class TestBoundaryFuzz:
         code, err = self._report(lambda doc: {k: v for k, v in doc.items() if k != key})
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["table", "csv"])
+    @pytest.mark.parametrize("section", ["per_project", "micro_f1_by_subcategory", "f1_by_param_count"])
+    def test_report_label_with_lone_surrogate_exits_two(self, readme_workspace, monkeypatch, section, csv):
+        monkeypatch.chdir(readme_workspace)
+        doc = json.loads(Path("report.json").read_text(encoding="utf-8"))
+        doc[section]["\ud800"] = next(iter(doc[section].values()))
+        Path("surrogate.json").write_text(json.dumps(doc), encoding="utf-8")
+        shutil.rmtree("surrogate-csv", ignore_errors=True)
+        result = run_cli("report", "--report", "surrogate.json", *(["--csv", "surrogate-csv"] if csv else []))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: malformed report surrogate.json: UnicodeEncodeError")
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
+        assert not Path("surrogate-csv").exists()
 
     @fuzz
     @given(st.sampled_from(REPORT_SECTIONS), NON_OBJECT)

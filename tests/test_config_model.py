@@ -149,11 +149,9 @@ def test_load_rejects_invalid_utf8(tmp_path):
 
 
 def test_load_writes_and_reads_back(tmp_path):
-    from confval.config_model import write_config_file
-
     file = make_file([ConfigEntry("p", "8020", "a port")])
     path = tmp_path / "site.xml"
-    write_config_file(file, path)
+    path.write_text(render_config(file, file.format), encoding="utf-8")
     again = load_config_file(path, "demo", "1.0")
     assert again.entries == file.entries
 
