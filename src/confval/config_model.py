@@ -7,6 +7,12 @@ Two on-disk dialects are supported:
 * INI, the compact form: one ``name=value`` per line, with ``# `` comment
   lines immediately above an entry carrying its description.
 
+The entry rules are the same in both dialects and live in one place each:
+ConfigEntry refuses an empty name or one holding a line break, ConfigFile
+refuses a repeated name. The dialect readers yield (location, name, value,
+description) for each entry; parse_config builds the entries and names the
+location of a fault.
+
 All types are immutable values; operations are pure.
 """
 
@@ -15,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -55,9 +62,9 @@ class ConfigEntry:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("entry name must be non-empty")
+            raise ValueError("empty parameter name")
         if "\n" in self.name or "\r" in self.name:
-            raise ValueError(f"entry name contains a line break: {self.name!r}")
+            raise ValueError(f"parameter name contains a line break: {self.name!r}")
         if self.description == "":
             object.__setattr__(self, "description", None)
 
@@ -119,12 +126,17 @@ def parse_config(text: str, format: ConfigFormat, project: str, version: str) ->
     Raises ConfigParseError for unbalanced markup, duplicate or empty
     parameter names, naming the offending location.
     """
-    if format is ConfigFormat.XML:
-        entries = _parse_xml(text)
-    else:
-        entries = _parse_ini(text)
+    read = _read_xml if format is ConfigFormat.XML else _read_ini
+    entries: dict[str, ConfigEntry] = {}
+    for where, name, value, description in read(text):
+        if name in entries:
+            raise ConfigParseError(f"duplicate parameter name: {name}", where)
+        try:
+            entries[name] = ConfigEntry(name, value, description)
+        except ValueError as exc:
+            raise ConfigParseError(str(exc), where) from exc
     try:
-        return ConfigFile(project=project, version=version, format=format, entries=tuple(entries))
+        return ConfigFile(project, version, format, tuple(entries.values()))
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
 
@@ -140,12 +152,7 @@ def compress(file: ConfigFile) -> ConfigFile:
     """Return the same entries in the compact INI format."""
     if file.format is ConfigFormat.INI:
         return file
-    return ConfigFile(
-        project=file.project,
-        version=file.version,
-        format=ConfigFormat.INI,
-        entries=file.entries,
-    )
+    return replace(file, format=ConfigFormat.INI)
 
 
 def load_config_file(
@@ -158,12 +165,9 @@ def load_config_file(
     path = Path(path)
     if format is None:
         suffix = path.suffix.lower()
-        if suffix == ".xml":
-            format = ConfigFormat.XML
-        elif suffix == ".ini":
-            format = ConfigFormat.INI
-        else:
+        if suffix not in (".xml", ".ini"):
             raise ConfigParseError(f"cannot infer format from suffix {suffix!r}", str(path))
+        format = ConfigFormat(suffix[1:])
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -174,7 +178,7 @@ def load_config_file(
 # --- XML dialect ---
 
 
-def _parse_xml(text: str) -> list[ConfigEntry]:
+def _read_xml(text: str) -> Iterator[tuple[str, str, str, str | None]]:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -182,8 +186,6 @@ def _parse_xml(text: str) -> list[ConfigEntry]:
         raise ConfigParseError(f"malformed XML: {exc.msg}", f"line {line}, column {col}") from exc
     if root.tag != "configuration":
         raise ConfigParseError(f"expected <configuration> root, got <{root.tag}>")
-    entries: list[ConfigEntry] = []
-    seen: set[str] = set()
     for index, prop in enumerate(root, start=1):
         where = f"property #{index}"
         if prop.tag != "property":
@@ -191,17 +193,9 @@ def _parse_xml(text: str) -> list[ConfigEntry]:
         name = _leaf_text(prop, "name", where)
         if name is None:
             raise ConfigParseError("missing <name>", where)
-        if not name:
-            raise ConfigParseError("empty parameter name", where)
-        if "\n" in name or "\r" in name:
-            raise ConfigParseError(f"parameter name contains a line break: {name!r}", where)
-        if name in seen:
-            raise ConfigParseError(f"duplicate parameter name: {name}", where)
-        seen.add(name)
         value = _leaf_text(prop, "value", where)
         description = _leaf_text(prop, "description", where)
-        entries.append(ConfigEntry(name, value if value is not None else "", description))
-    return entries
+        yield where, name, value if value is not None else "", description
 
 
 def _leaf_text(prop: ET.Element, tag: str, where: str) -> str | None:
@@ -243,7 +237,9 @@ def _render_xml(file: ConfigFile) -> str:
 # --- INI dialect ---
 # Escapes keep the one-line-per-entry shape reversible: backslash, '=' and a
 # leading '#' (which would read as a comment) in names, backslash and newline
-# in values.
+# in values. An escape is a backslash and the character after it, which it
+# stands for; backslash-n and backslash-r stand for LF and CR. A backslash
+# ending the text stands for itself, and the first unescaped '=' ends a name.
 
 
 def _escape_ini_name(name: str) -> str:
@@ -255,39 +251,20 @@ def _escape_ini_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
 
 
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED_CHAR = {"n": "\n", "r": "\r"}
+# Unrolled, so no character can be taken by two branches and a line is
+# scanned without backtracking: runs of plain characters between escapes.
+_INI_LINE = re.compile(r"([^\\=]*(?:\\.[^\\=]*)*)=(.*)", re.DOTALL)
+
+
 def _unescape(text: str) -> str:
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: _ESCAPED_CHAR.get(m[1], m[1]), text)
 
 
-def _split_ini_line(line: str) -> tuple[str, str] | None:
-    depth_escaped = False
-    for i, ch in enumerate(line):
-        if depth_escaped:
-            depth_escaped = False
-            continue
-        if ch == "\\":
-            depth_escaped = True
-        elif ch == "=":
-            return line[:i], line[i + 1 :]
-    return None
-
-
-def _parse_ini(text: str) -> list[ConfigEntry]:
-    entries: list[ConfigEntry] = []
-    seen: set[str] = set()
+def _read_ini(text: str) -> Iterator[tuple[str, str, str, str | None]]:
     pending_desc: list[str] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.startswith("#"):
@@ -296,22 +273,13 @@ def _parse_ini(text: str) -> list[ConfigEntry]:
         if not line.strip():
             pending_desc = []
             continue
-        split = _split_ini_line(line)
+        split = _INI_LINE.match(line)
         if split is None:
             raise ConfigParseError("expected name=value", f"line {lineno}")
-        raw_name, raw_value = split
-        name = _unescape(raw_name)
-        if not name:
-            raise ConfigParseError("empty parameter name", f"line {lineno}")
-        if "\n" in name or "\r" in name:  # an escaped \n or \r
-            raise ConfigParseError(f"parameter name contains a line break: {name!r}", f"line {lineno}")
-        if name in seen:
-            raise ConfigParseError(f"duplicate parameter name: {name}", f"line {lineno}")
-        seen.add(name)
+        raw_name, raw_value = split.groups()
         desc = "\n".join(pending_desc) if pending_desc else None
         pending_desc = []
-        entries.append(ConfigEntry(name, _unescape(raw_value), desc))
-    return entries
+        yield f"line {lineno}", _unescape(raw_name), _unescape(raw_value), desc
 
 
 def _render_ini(file: ConfigFile) -> str:

@@ -30,7 +30,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from .config_model import ConfigFile, ConfigFormat, frozen_cached_property
+from .config_model import ConfigEntry, ConfigFile, ConfigFormat, frozen_cached_property
 from .errors import (
     DependencyEvalError,
     SpecError,
@@ -135,6 +135,16 @@ class DependencyConstraint:
             raise ValueError("control dependency requires a literal value")
         if self.kind is DependencyKind.VALUE_RELATIONSHIP and self.value is not None:
             raise ValueError("value relationship must not carry a literal value")
+
+    @property
+    def subcategory(self) -> Subcategory:
+        return Subcategory(f"dependency/{self.kind.value}")
+
+    @property
+    def carrier(self) -> str:
+        """The parameter a violation lands on: p2, set without its enabling
+        condition, for a control dependency; p1 for a value relationship."""
+        return self.p2 if self.kind is DependencyKind.CONTROL else self.p1
 
 
 @dataclass(frozen=True)
@@ -357,11 +367,7 @@ def assign_subcategories(spec: ParameterSpec) -> frozenset[Subcategory]:
     """Every sub-category whose specification this parameter satisfies."""
     rule = spec.rule
     out = {sc for sc in (rule.syntax, rule.range) if sc is not None}
-    for c in spec.dependencies:
-        if c.kind is DependencyKind.CONTROL and c.p2 == spec.name:
-            out.add(Subcategory.DEPENDENCY_CONTROL)
-        if c.kind is DependencyKind.VALUE_RELATIONSHIP and c.p1 == spec.name:
-            out.add(Subcategory.DEPENDENCY_VALUE_RELATIONSHIP)
+    out.update(c.subcategory for c in spec.dependencies if c.carrier == spec.name)
     return frozenset(out)
 
 
@@ -455,10 +461,9 @@ def check_dependency(
 ) -> Violation | None:
     """Evaluate one constraint against configured (or default) values.
 
-    Control violations land on p2 (the parameter set without its enabling
-    condition); value-relationship violations land on p1. Constraints with an
-    unresolvable operand are skipped, mirroring systems whose defaults satisfy
-    their own constraints.
+    A violation lands on the constraint's carrier and belongs to its
+    subcategory. Constraints with an unresolvable operand are skipped,
+    mirroring systems whose defaults satisfy their own constraints.
     """
     if c.kind is DependencyKind.CONTROL:
         v1 = _resolve(c.p1, file, specs)
@@ -466,8 +471,8 @@ def check_dependency(
             return None
         if not compare_values(v1, c.comparator, c.value):
             return Violation(
-                Subcategory.DEPENDENCY_CONTROL,
-                c.p2,
+                c.subcategory,
+                c.carrier,
                 f"'{c.p2}' is set but '{c.p1}' does not satisfy "
                 f"{c.p1} {c.comparator.value} {c.value}",
             )
@@ -478,8 +483,8 @@ def check_dependency(
         return None
     if not compare_values(v1, c.comparator, v2):
         return Violation(
-            Subcategory.DEPENDENCY_VALUE_RELATIONSHIP,
-            c.p1,
+            c.subcategory,
+            c.carrier,
             f"value of '{c.p1}' violates required relation {c.p1} {c.comparator.value} {c.p2}",
         )
     return None
@@ -608,6 +613,7 @@ def spec_set_from_dict(doc: dict) -> SpecSet:
         file_format = ConfigFormat(doc.get("file_format", "xml"))
         params = []
         for item in doc["parameters"]:
+            ConfigEntry(item["name"], "")  # a name a configuration file can hold
             rng = item.get("range")
             params.append(
                 ParameterSpec(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .backend import Backend
-from .errors import ConfvalError, check_schema_version, checked
+from .errors import ConfvalError, SpecError, check_schema_version, checked
 from .misconfig_gen import DatasetSplit, Label, LabeledFile
 from .pipeline import PipelineSettings, Verdict, validate_file
 from .prompting import SelectionStrategy, ShotDatabase, enumerate_shot_combinations
@@ -159,16 +159,21 @@ def parameter_matrix(results: list[ScoredFile]) -> ConfusionMatrix:
     return cm
 
 
+def _pooled_f1(results: list[ScoredFile], label, order=None) -> dict[str, float]:
+    """Parameter-level F1 of the results pooled under label(result), labels
+    sorted by order; a result labelled None is left out."""
+    pooled: dict[str, ConfusionMatrix] = {}
+    for r in results:
+        key = label(r)
+        if key is not None:
+            pooled[key] = pooled.get(key, ConfusionMatrix(Level.PARAMETER)).merge(r.param_cm)
+    return {key: f1(pooled[key]) for key in sorted(pooled, key=order)}
+
+
 def micro_f1_by_subcategory(results: list[ScoredFile]) -> dict[str, float]:
     """Pool parameter-level cells of misconfig files across projects per
     sub-category; sub-categories with no samples are simply absent."""
-    pooled: dict[str, ConfusionMatrix] = {}
-    for r in results:
-        if r.subcategory is None:
-            continue
-        slug = r.subcategory.value
-        pooled[slug] = pooled.get(slug, ConfusionMatrix(Level.PARAMETER)).merge(r.param_cm)
-    return {slug: f1(cm) for slug, cm in sorted(pooled.items())}
+    return _pooled_f1(results, lambda r: r.subcategory.value if r.subcategory else None)
 
 
 def bucket_label(count: int, edges: tuple[int, ...]) -> str:
@@ -180,17 +185,14 @@ def bucket_label(count: int, edges: tuple[int, ...]) -> str:
     return f">{edges[-1]}"
 
 
+# one size from each bucket, smallest bucket first
+_BUCKETS = [bucket_label(size, BUCKET_EDGES) for size in BUCKET_EDGES + (BUCKET_EDGES[-1] + 1,)]
+
+
 def bucket_by_param_count(results: list[ScoredFile]) -> dict[str, float]:
     """Parameter-level F1 per file-size bucket of BUCKET_EDGES, smallest
     first; empty buckets are omitted."""
-    pooled: dict[str, ConfusionMatrix] = {}
-    for r in results:
-        label = bucket_label(r.entry_count, BUCKET_EDGES)
-        pooled[label] = pooled.get(label, ConfusionMatrix(Level.PARAMETER)).merge(r.param_cm)
-    # one size from each bucket, smallest bucket first
-    sizes = BUCKET_EDGES + (BUCKET_EDGES[-1] + 1,)
-    labels = [bucket_label(size, BUCKET_EDGES) for size in sizes]
-    return {label: f1(pooled[label]) for label in labels if label in pooled}
+    return _pooled_f1(results, lambda r: bucket_label(r.entry_count, BUCKET_EDGES), _BUCKETS.index)
 
 
 # the JSON types of each report key; every key but schema_version and failures
@@ -204,6 +206,25 @@ _REPORT_KEYS = {
     "files_scored": (int,),
     "failures": ([dict],),
 }
+_NUMBER = (int, float)
+# what one level of a report holds: the ratios alone for the macro average,
+# with the confusion counts for a project
+_RATIOS = {"precision": _NUMBER, "recall": _NUMBER, "f1": _NUMBER}
+_LEVEL_METRICS = {**_RATIOS, "tp": (int,), "fp": (int,), "tn": (int,), "fn": (int,)}
+_LEVELS = {level.value: (dict,) for level in Level}
+
+
+def _complete(doc: object, types: dict[str, tuple], what: str) -> dict:
+    """doc once checked() accepts it and it holds every key of types."""
+    missing = [key for key in types if key not in checked(doc, types, what)]
+    if missing:
+        raise SpecError(f"{what}: missing key {missing[0]!r}")
+    return doc
+
+
+def _check_levels(doc: dict, metrics: dict[str, tuple], what: str) -> None:
+    for level, values in _complete(doc, _LEVELS, what).items():
+        _complete(values, metrics, f"{what}[{level!r}]")
 
 
 @dataclass(frozen=True)
@@ -228,11 +249,17 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: object) -> "MetricsReport":
-        """Inverse of to_dict. Raises KeyError for a missing key, SpecError for
-        an unknown key or a part of the wrong JSON type and SchemaVersionError
-        for a report of another schema."""
+        """Inverse of to_dict. Raises KeyError for a missing top-level key,
+        SpecError for an unknown key, a missing metric or level, or a part of
+        the wrong JSON type at any depth (a bool is no number), and
+        SchemaVersionError for a report of another schema."""
         checked(doc, _REPORT_KEYS, "report")
         check_schema_version(doc, REPORT_SCHEMA_VERSION, "report")
+        for project, levels in doc["per_project"].items():
+            _check_levels(levels, _LEVEL_METRICS, f"report per_project[{project!r}]")
+        _check_levels(doc["macro"], _RATIOS, "report macro")
+        for key in ("micro_f1_by_subcategory", "f1_by_param_count"):
+            checked(doc[key], dict.fromkeys(doc[key], _NUMBER), f"report {key}")
         return cls(
             per_project=doc["per_project"],
             macro=doc["macro"],
@@ -272,7 +299,7 @@ def build_report(results: list[ScoredFile], failures: list[dict] = ()) -> Metric
             )
             if projects
             else 0.0
-            for metric in ("precision", "recall", "f1")
+            for metric in _RATIOS
         }
     return MetricsReport(
         per_project=per_project,
@@ -284,35 +311,26 @@ def build_report(results: list[ScoredFile], failures: list[dict] = ()) -> Metric
     )
 
 
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def report_csv_tables(report: MetricsReport) -> dict[str, str]:
     """CSV renderings of each report table, keyed by table name."""
-    tables: dict[str, str] = {}
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["project", "level", "precision", "recall", "f1", "tp", "fp", "tn", "fn"])
-    for project, levels in report.per_project.items():
-        for level, metrics in levels.items():
-            writer.writerow(
-                [project, level]
-                + [metrics[k] for k in ("precision", "recall", "f1", "tp", "fp", "tn", "fn")]
-            )
-    tables["per_project"] = buf.getvalue()
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["subcategory", "micro_f1"])
-    for slug, value in report.micro_f1_subcategory.items():
-        writer.writerow([slug, value])
-    tables["subcategory_f1"] = buf.getvalue()
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["bucket", "f1"])
-    for label, value in report.f1_by_param_count.items():
-        writer.writerow([label, value])
-    tables["param_count_f1"] = buf.getvalue()
-    return tables
+    per_project = (
+        [project, level, *(metrics[k] for k in _LEVEL_METRICS)]
+        for project, levels in report.per_project.items()
+        for level, metrics in levels.items()
+    )
+    return {
+        "per_project": _csv(["project", "level", *_LEVEL_METRICS], per_project),
+        "subcategory_f1": _csv(["subcategory", "micro_f1"], report.micro_f1_subcategory.items()),
+        "param_count_f1": _csv(["bucket", "f1"], report.f1_by_param_count.items()),
+    }
 
 
 def run_evaluation(

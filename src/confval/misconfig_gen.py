@@ -360,14 +360,7 @@ def _safe_companions(specs: SpecSet) -> list[str]:
 
 def _constraint_for(specs: SpecSet, subcat: Subcategory, parameter: str) -> DependencyConstraint:
     for c in specs.dependencies:
-        if subcat is Subcategory.DEPENDENCY_CONTROL and c.kind is DependencyKind.CONTROL:
-            if c.p2 == parameter:
-                return c
-        if (
-            subcat is Subcategory.DEPENDENCY_VALUE_RELATIONSHIP
-            and c.kind is DependencyKind.VALUE_RELATIONSHIP
-            and c.p1 == parameter
-        ):
+        if c.carrier == parameter and c.subcategory is subcat:
             return c
     raise GenerationError(f"no {subcat.value} constraint for {parameter!r}")
 

@@ -626,6 +626,18 @@ NON_OBJECT = st.one_of(*(strategy for kind, strategy in JSON_KINDS.items() if ki
 VERSIONED = ("config", "manifest", "spec", "report", "sweep", "sweep entry")
 REPORT_KEYS = ("per_project", "macro", "micro_f1_by_subcategory", "f1_by_param_count", "files_scored")
 REPORT_SECTIONS = REPORT_KEYS[:4]
+COUNT_KEYS = ("tp", "fp", "tn", "fn", "files_scored")
+
+
+def report_values(doc) -> list[tuple[tuple, set]]:
+    """Every value of a report, at every level, as (key path, JSON kinds it
+    accepts): counts take integers, ratios any number."""
+    paths = [("files_scored",)]
+    for project, levels in doc["per_project"].items():
+        paths += [("per_project", project, level, key) for level in levels for key in levels[level]]
+    paths += [("macro", level, key) for level in doc["macro"] for key in doc["macro"][level]]
+    paths += [(section, key) for section in REPORT_SECTIONS[2:] for key in doc[section]]
+    return [(path, {"integer"} if path[-1] in COUNT_KEYS else NUMBER) for path in paths]
 
 
 # what a corpus manifest must hold, as (where, key, JSON kind): the manifest
@@ -945,3 +957,34 @@ class TestBoundaryFuzz:
         code, err = self._report(lambda doc: {**doc, key: value})
         assert code == 2
         assert "error:" in err
+
+    def test_report_values_cover_every_level(self, readme_workspace):
+        doc = json.loads((readme_workspace / "report.json").read_text(encoding="utf-8"))
+        sections = {path[0] for path, _ in report_values(doc)}
+        assert sections == {"files_scored", *REPORT_SECTIONS}
+
+    @fuzz
+    @given(st.data(), st.sampled_from(["table", "csv", "sweep"]))
+    def test_mistyped_report_value_exits_two(self, readme_workspace, monkeypatch, data, form):
+        monkeypatch.chdir(readme_workspace)
+        doc = json.loads(Path("report.json").read_text(encoding="utf-8"))
+        path, accepted = data.draw(st.sampled_from(report_values(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(
+            st.one_of(*(strategy for kind, strategy in JSON_KINDS.items() if kind not in accepted))
+        )
+        if form == "sweep":
+            doc = {"schema_version": 1, "sweep": {"0v1m": doc}}
+        Path("mistyped.json").write_text(json.dumps(doc), encoding="utf-8")
+        shutil.rmtree("mistyped-csv", ignore_errors=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            csv = ["--csv", "mistyped-csv"] if form == "csv" else []
+            code = main(["report", "--report", "mistyped.json", *csv])
+        assert code == 2
+        assert err.getvalue().startswith("error: malformed report mistyped.json: SpecError")
+        assert len(err.getvalue().splitlines()) == 1
+        assert out.getvalue() == ""
+        assert not Path("mistyped-csv").exists()

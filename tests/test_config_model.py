@@ -10,6 +10,7 @@ from confval.config_model import (
     ConfigEntry,
     ConfigFile,
     ConfigFormat,
+    _INI_LINE,
     _unescape,
     _xml_text,
     compress,
@@ -80,6 +81,30 @@ class TestParse:
     def test_ini_missing_separator(self):
         with pytest.raises(ConfigParseError, match="name=value"):
             parse_config("just a line\n", ConfigFormat.INI, "demo", "1.0")
+
+    @pytest.mark.parametrize(
+        "fmt, text, message, where",
+        [
+            (ConfigFormat.INI, "p=1\n=2\n", "empty parameter name", "line 2"),
+            (ConfigFormat.INI, "p=1\n\n# d\na\\nb=2\n", r"line break: 'a\\nb'", "line 4"),
+            (ConfigFormat.INI, "p=1\nq=2\np=3\n", "duplicate parameter name: p", "line 3"),
+            (ConfigFormat.XML, "<property><name/></property>", "empty parameter name", "property #2"),
+            (
+                ConfigFormat.XML,
+                "<property><name>a&#10;b</name><value>1</value></property>",
+                r"line break: 'a\\nb'",
+                "property #2",
+            ),
+            (ConfigFormat.XML, "<property><name>p</name></property>", "duplicate parameter name: p", "property #2"),
+        ],
+    )
+    def test_name_fault_names_its_location(self, fmt, text, message, where):
+        if fmt is ConfigFormat.XML:
+            text = f"<configuration><property><name>p</name></property>{text}</configuration>"
+        with pytest.raises(ConfigParseError, match=message) as caught:
+            parse_config(text, fmt, "demo", "1.0")
+        assert caught.value.location == where
+        assert str(caught.value).endswith(f"(at {where})")
 
 
 class TestRender:
@@ -247,6 +272,28 @@ def _reference_unescape(text: str) -> str:
 @given(st.text(alphabet=st.one_of(st.sampled_from("\\nr=#"), _any_chars), max_size=40))
 def test_unescape_matches_the_character_loop(text):
     assert _unescape(text) == _reference_unescape(text)
+
+
+def _reference_split(line: str) -> tuple[str, str] | None:
+    """The INI line split as a character loop: the first '=' that no
+    backslash escapes ends the name."""
+    depth_escaped = False
+    for i, ch in enumerate(line):
+        if depth_escaped:
+            depth_escaped = False
+            continue
+        if ch == "\\":
+            depth_escaped = True
+        elif ch == "=":
+            return line[:i], line[i + 1 :]
+    return None
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=st.one_of(st.sampled_from("\\\\\\===##\n\r"), _any_chars), max_size=40))
+def test_ini_line_pattern_matches_the_character_loop(line):
+    split = _INI_LINE.match(line)
+    assert (split.groups() if split else None) == _reference_split(line)
 
 
 @settings(max_examples=100)

@@ -294,6 +294,16 @@ def test_lone_surrogate_in_spec_text_is_a_spec_error():
         spec_set_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "name, message", [("", "empty parameter name"), ("a\nb", "line break"), ("a\rb", "line break")]
+)
+def test_parameter_name_no_config_file_can_hold_is_a_spec_error(name, message):
+    doc = spec_set_to_dict(demo_spec_set("badname", "1.0.0"))
+    doc["parameters"][0]["name"] = name
+    with pytest.raises(SpecError, match=message):
+        spec_set_from_dict(doc)
+
+
 def test_checked_specs_compare_hash_and_pickle_as_fresh_ones(spec_set):
     fresh = demo_spec_set()
     file = file_of(spec_set, {"stormdb.listen.port.0": "70000"}, version="9.9.0")
