@@ -114,21 +114,17 @@ def score_file(verdict: Verdict, truth: LabeledFile) -> tuple[Cell, ConfusionMat
     else:
         file_cell = Cell.FP if verdict.hasError else Cell.TN
 
+    # a file's names are unique, so each cell is a set of names; a flag
+    # outside the file, the injected name included, is a false positive
     flagged = set(verdict.err_parameters)
-    injected = truth.injected.parameter if is_misconfig else None
-    counts = {cell: 0 for cell in Cell}
-    for entry in truth.file.entries:
-        if entry.name == injected:
-            counts[Cell.TP if entry.name in flagged else Cell.FN] += 1
-        else:
-            counts[Cell.FP if entry.name in flagged else Cell.TN] += 1
-    counts[Cell.FP] += len(flagged - {e.name for e in truth.file.entries})
+    names = {e.name for e in truth.file.entries}
+    injected = {truth.injected.parameter} & names if is_misconfig else set()
     param_cm = ConfusionMatrix(
         Level.PARAMETER,
-        tp=counts[Cell.TP],
-        fp=counts[Cell.FP],
-        tn=counts[Cell.TN],
-        fn=counts[Cell.FN],
+        tp=len(flagged & injected),
+        fp=len(flagged - injected),
+        tn=len(names - flagged - injected),
+        fn=len(injected - flagged),
     )
     return file_cell, param_cm
 

@@ -20,6 +20,11 @@ settled. Every first attempt goes before any retry, and every k-th before any
 once); so an early-stopped run makes a prefix of that run's calls and, with
 answers that depend only on the call's position, votes for the same key.
 
+Each distinct completion is parsed and filtered once per file. A repeat still
+uses its slot and counts as a vote or a discard, and a rejected repeat still
+earns its slot a retry. An accepted repeat votes with the same response
+object, so its canonical key is computed once per distinct answer.
+
 The vote counts a pool of answers and the reasons are clustered in sorted
 order, so neither depends on which thread served which slot, and parallel
 backends stay reproducible.
@@ -195,6 +200,16 @@ def _target_rng(seed: int, content_key: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _read(completion: str) -> ValidationResponse | None:
+    """The accepted response in a completion; None when it does not parse or
+    breaks an R1-R4 rule."""
+    try:
+        parsed = parse_response(completion)
+    except ResponseFormatError:
+        return None
+    return parsed if validate_response(parsed) is None else None
+
+
 def validate_file(
     target: ConfigFile,
     backend: Backend,
@@ -227,6 +242,8 @@ def validate_file(
     tally: Counter = Counter()
     discarded = 0
     backend_failures = 0
+    # each distinct completion text -> _read's outcome, kept for this file only
+    readings: dict[str, ValidationResponse | None] = {}
     # open slots by the attempt they make next; a wave takes slots of one
     # attempt only, so which thread's call served which slot cannot matter
     waiting = [settings.num_queries] + [0] * settings.retry_bound
@@ -241,13 +258,13 @@ def validate_file(
             if isinstance(result, BackendError):
                 backend_failures += 1
                 continue
-            try:
-                parsed = parse_response(result)
-            except ResponseFormatError:
-                parsed = None
-            if parsed is not None and validate_response(parsed) is None:
-                accepted.append(parsed)
-                tally[parsed.canonical_key()] += 1
+            if result in readings:
+                reading = readings[result]
+            else:
+                reading = readings[result] = _read(result)
+            if reading is not None:
+                accepted.append(reading)
+                tally[reading.canonical_key()] += 1
                 continue
             discarded += 1
             if attempt < settings.retry_bound:

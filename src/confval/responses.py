@@ -73,6 +73,8 @@ def parse_response(text: str) -> ValidationResponse:
     Code fences are stripped first; prose around the object is ignored. No
     object, an ill-typed field, or more than one object (an identical copy
     included) are format errors (the pipeline treats those as retryable).
+    A pure function of the text, so the pipeline reads each distinct
+    completion of a file once.
     """
     objects: list[dict] = []
     for region in _candidate_regions(text):
@@ -108,7 +110,10 @@ RULE_NO_DUPLICATES = "R4"
 
 
 def validate_response(r: ValidationResponse) -> str | None:
-    """None means accept; otherwise the id of the first violated rule."""
+    """None means accept; otherwise the id of the first violated rule.
+
+    A pure function of the response, so one verdict serves every repeat of
+    its completion text."""
     if not r.hasError and (r.errParameter or r.reason):
         return RULE_EMPTY_WHEN_VALID
     if r.hasError and (not r.errParameter or not r.reason):

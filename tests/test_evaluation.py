@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,59 @@ class TestScoreFile:
         truth = labeled_file("p3")
         _, params = score_file(verdict_flagging(["p3", "ghost"], truth), truth)
         assert params.total == len(truth.file.entries) + 1  # entries plus the phantom
+
+    @pytest.mark.parametrize(
+        "injected, flags, expected",
+        [
+            ("p3", ["p3"], (1, 0, 7, 0)),
+            ("p3", ["p3", "p5"], (1, 1, 6, 0)),
+            ("p3", [], (0, 0, 7, 1)),
+            # a flagged name that is not in the file
+            ("p3", ["ghost"], (0, 1, 7, 1)),
+            ("p3", ["p3", "ghost", "p0"], (1, 2, 6, 0)),
+            # an injected parameter missing from the file: no cell of its own,
+            # and flagging it is a false alarm like any other phantom
+            ("gone", ["gone"], (0, 1, 8, 0)),
+            ("gone", [], (0, 0, 8, 0)),
+            # a valid file with flags
+            (None, ["p1", "p2"], (0, 2, 6, 0)),
+            (None, ["p1", "ghost"], (0, 2, 7, 0)),
+            (None, [], (0, 0, 8, 0)),
+        ],
+    )
+    def test_parameter_cells_match_the_per_entry_count(self, injected, flags, expected):
+        names = tuple(f"p{i}" for i in range(8))
+        if injected in names or injected is None:
+            truth = labeled_file(injected, names)
+        else:
+            # LabeledFile refuses such a fault, so score_file sees it only
+            # through a stand-in; it must still not count a cell for it
+            file = labeled_file(None, names).file
+            fault = InjectedFault(injected, Subcategory.RANGE_PORT, "too large")
+            truth = SimpleNamespace(file=file, label=Label.MISCONFIG, injected=fault)
+        verdict = verdict_flagging(flags, truth)
+        cell, params = score_file(verdict, truth)
+        assert (params.tp, params.fp, params.tn, params.fn) == expected
+        assert (params.tp, params.fp, params.tn, params.fn) == per_entry_cells(verdict, truth)
+        if injected is None:
+            assert cell is (Cell.FP if flags else Cell.TN)
+        else:
+            assert cell is (Cell.TP if flags else Cell.FN)
+
+
+def per_entry_cells(verdict, truth):
+    """score_file's parameter cells counted entry by entry, as it once did:
+    (tp, fp, tn, fn)."""
+    flagged = set(verdict.err_parameters)
+    injected = truth.injected.parameter if truth.label is Label.MISCONFIG else None
+    counts = {cell: 0 for cell in Cell}
+    for entry in truth.file.entries:
+        if entry.name == injected:
+            counts[Cell.TP if entry.name in flagged else Cell.FN] += 1
+        else:
+            counts[Cell.FP if entry.name in flagged else Cell.TN] += 1
+    counts[Cell.FP] += len(flagged - {e.name for e in truth.file.entries})
+    return counts[Cell.TP], counts[Cell.FP], counts[Cell.TN], counts[Cell.FN]
 
 
 class TestMetricFormulas:

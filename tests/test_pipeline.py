@@ -18,13 +18,14 @@ from confval.backend import (
     MockBehavior,
     MockScript,
     prompt_fingerprint,
+    query_batch,
     truth_map,
 )
-from confval.errors import ValidationFailedError
+from confval.errors import BackendError, ResponseFormatError, ValidationFailedError
 from confval.misconfig_gen import Label, build_dataset
 from confval.pipeline import PipelineSettings, Verdict, _settling_wave, validate_file, vote
 from confval.prompting import ShotCombination, ShotDatabase, build_prompt, shot_from_labeled
-from confval.responses import ValidationResponse, valid_answer
+from confval.responses import ValidationResponse, parse_response, valid_answer, validate_response
 
 from conftest import Counting, demo_spec_set
 
@@ -168,6 +169,21 @@ def waves(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def readings(monkeypatch):
+    """How often validate_file calls parse_response and validate_response."""
+    calls = Counter()
+    for name in ("parse_response", "validate_response"):
+        original = getattr(confval.pipeline, name)
+
+        def counting(arg, name=name, original=original):
+            calls[name] += 1
+            return original(arg)
+
+        monkeypatch.setattr(confval.pipeline, name, counting)
+    return calls
+
+
 def every_open_slot(tally, open_slots):
     """A wave rule that never stops early: the paper's fixed rounds."""
     return open_slots
@@ -193,7 +209,7 @@ class TestValidateFile:
         assert verdict.total_votes == 10
         assert verdict.reasons == (target.injected.reason,)
 
-    def test_echo_mock_settles_in_one_wave(self, corpus, waves):
+    def test_echo_mock_settles_in_one_wave(self, corpus, waves, readings):
         dataset, shot_db, truth = corpus
         target = first_eval(dataset, Label.MISCONFIG)
         backend = Counting(MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth)))
@@ -204,6 +220,45 @@ class TestValidateFile:
         assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert (verdict.tally, verdict.total_votes) == (6, 6)
         assert verdict.reasons == (target.injected.reason,)
+        # six slots, one text: parsed and filtered once, voted six times
+        assert readings == {"parse_response": 1, "validate_response": 1}
+        assert len({id(r) for r in verdict.all_responses}) == 1
+
+    def test_repeated_rejection_still_retries_every_slot(self, corpus, waves, readings):
+        dataset, shot_db, truth = corpus
+        target = first_eval(dataset, Label.MISCONFIG)
+        settings = PipelineSettings(seed=5, combination=ShotCombination(0, 0))
+        fp = prompt_fingerprint(build_prompt(target.file, [], settings.question_template).text)
+        r3 = json.dumps({"hasError": True, "errParameter": ["a", "b"], "reason": ["odd"]})
+
+        def run(rejected_calls):
+            responses = {(fp, i): r3 for i in range(rejected_calls)}
+            script = MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth, responses=responses)
+            backend = Counting(MockBackend(script))
+            waves.clear()
+            readings.clear()
+            try:
+                return validate_file(target.file, backend, shot_db, settings), backend.calls
+            except ValidationFailedError as failure:
+                return str(failure), backend.calls
+
+        # every call rejected: each of the 10 slots makes its first attempt and
+        # 3 retries, and every one of the 40 answers is a discard; a slot's
+        # last attempt earns no retry, so the open slots shrink to 4, then 1
+        failure, calls = run(40)
+        assert calls == 40
+        assert waves == [6, 4, 6, 4, 6, 4, 6, 3, 1]
+        assert "(40 discarded, 0 backend failures)" in failure
+        assert readings == {"parse_response": 1, "validate_response": 1}
+        # the first 10 calls rejected: every slot retries once, and 6 accepted
+        # retries settle the vote
+        verdict, calls = run(10)
+        assert calls == 16
+        assert waves == [6, 4, 6]
+        assert verdict.discarded_count == 10
+        assert (verdict.tally, verdict.total_votes) == (6, 6)
+        assert verdict.canonical_key == (True, (target.injected.parameter,))
+        assert readings == {"parse_response": 2, "validate_response": 2}
 
     def test_fitting_prompt_is_built_once(self, corpus, monkeypatch):
         dataset, shot_db, _ = corpus
@@ -520,3 +575,97 @@ class TestStopRule:
             assert expected[0] is None
         else:
             assert verdict.to_report("t") == expected[0].to_report("t")
+
+
+# --- reading each distinct completion once, against reading every slot ---
+
+PROSE_FENCED = "Here is my answer:\n```json\n" + flagging("a").to_json() + "\n```\nHope it helps."
+ALPHABET = (
+    valid_answer().to_json(),
+    flagging("a").to_json(),
+    flagging("b").to_json(),
+    json.dumps({"hasError": True, "errParameter": ["a"], "reason": ["another reason"]}),
+    PROSE_FENCED,
+    *REJECTED,  # no JSON and R1-R4
+    valid_answer().to_json() + " " + valid_answer().to_json(),  # two objects
+)
+
+
+def per_slot_verdict(target, backend, settings):
+    """validate_file's query loop with every slot's completion parsed and
+    filtered on its own: the verdict, or None when no slot is accepted."""
+    prompt = build_prompt(target, [], settings.question_template)
+    accepted = []
+    tally = Counter()
+    discarded = 0
+    waiting = [settings.num_queries] + [0] * settings.retry_bound
+    while open_slots := sum(waiting):
+        wave = _settling_wave(tally, open_slots)
+        if wave == 0:
+            break
+        attempt = next(a for a, count in enumerate(waiting) if count)
+        wave = min(wave, waiting[attempt])
+        waiting[attempt] -= wave
+        for result in query_batch(backend, prompt, wave):
+            if isinstance(result, BackendError):
+                continue
+            try:
+                parsed = parse_response(result)
+            except ResponseFormatError:
+                parsed = None
+            if parsed is not None and validate_response(parsed) is None:
+                accepted.append(parsed)
+                tally[parsed.canonical_key()] += 1
+                continue
+            discarded += 1
+            if attempt < settings.retry_bound:
+                waiting[attempt + 1] += 1
+    if not accepted:
+        return None
+    return vote(accepted, discarded_count=discarded, target_key=target.content_key())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_queries=st.integers(1, 10),
+    retry_bound=st.integers(0, 3),
+    data=st.data(),
+)
+def test_reading_once_matches_reading_every_slot(bare_target, num_queries, retry_bound, data):
+    calls_at_most = num_queries * (retry_bound + 1)
+    texts = data.draw(
+        st.lists(st.sampled_from(ALPHABET), min_size=calls_at_most, max_size=calls_at_most)
+    )
+    settings = PipelineSettings(
+        num_queries=num_queries, retry_bound=retry_bound, combination=ShotCombination(0, 0)
+    )
+    fp = prompt_fingerprint(build_prompt(bare_target, [], settings.question_template).text)
+
+    def backend():
+        responses = {(fp, i): text for i, text in enumerate(texts)}
+        return Counting(MockBackend(MockScript(MockBehavior.ALWAYS_VALID, responses=responses)))
+
+    reference_backend = backend()
+    expected = per_slot_verdict(bare_target, reference_backend, settings)
+    cached_backend = backend()
+    parsed = Counter()
+    original = confval.pipeline.parse_response
+
+    def counting(text):
+        parsed[text] += 1
+        return original(text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(confval.pipeline, "parse_response", counting)
+        try:
+            verdict = validate_file(bare_target, cached_backend, ShotDatabase([]), settings)
+        except ValidationFailedError:
+            verdict = None
+    assert cached_backend.calls == reference_backend.calls
+    # the mock numbers its calls 0, 1, ..., so these are the texts served
+    assert parsed == Counter(set(texts[: cached_backend.calls]))
+    if expected is None:
+        assert verdict is None
+    else:
+        assert verdict.to_report("t") == expected.to_report("t")
+        assert Counter(verdict.all_responses) == Counter(expected.all_responses)
