@@ -196,6 +196,8 @@ class MockBehavior(Enum):
 
 
 MALFORMED_TEXT = "Sorry, I cannot answer in the requested structure right now."
+# serialised once: the always-valid mock, a missing truth and a noise flip all send it
+VALID_ANSWER_JSON = valid_answer().to_json()
 
 
 @dataclass(frozen=True)
@@ -250,12 +252,10 @@ class MockBackend(Backend):
             return scripted
         behavior = self.script.behavior
         if behavior is MockBehavior.ALWAYS_VALID:
-            return valid_answer().to_json()
+            return VALID_ANSWER_JSON
         if behavior is MockBehavior.MALFORMED:
             return MALFORMED_TEXT
-        truth = self.script.truth.get(prompt.target.content_key())
-        if truth is None:
-            truth = valid_answer().to_json()
+        truth = self.script.truth.get(prompt.target.content_key(), VALID_ANSWER_JSON)
         if behavior is MockBehavior.ECHO_GROUND_TRUTH:
             return truth
         # NOISE_WITH_RATE: corruption is a pure function of (seed, prompt, index)
@@ -263,7 +263,7 @@ class MockBackend(Backend):
         if rng.random() >= self.script.noise_rate:
             return truth
         if rng.random() < 0.5:
-            return valid_answer().to_json()
+            return VALID_ANSWER_JSON
         flagged = rng.choice(prompt.target.names())
         return misconfig_answer(flagged, f"value of {flagged} looks wrong").to_json()
 

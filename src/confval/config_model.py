@@ -110,14 +110,9 @@ class ConfigFile:
 
     @frozen_cached_property
     def _content_key(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.project.encode("utf-8") + b"\x00")
-        h.update(self.version.encode("utf-8") + b"\x00")
-        for e in self.entries:
-            for part in (e.name, e.value, e.description or ""):
-                h.update(part.encode("utf-8") + b"\x00")
-            h.update(b"\x01")
-        return h.hexdigest()
+        # each part ends in NUL and each entry in 0x01; one encode, one update
+        entries = "".join(f"{e.name}\0{e.value}\0{e.description or ''}\0\x01" for e in self.entries)
+        return hashlib.sha256(f"{self.project}\0{self.version}\0{entries}".encode("utf-8")).hexdigest()
 
 
 def parse_config(text: str, format: ConfigFormat, project: str, version: str) -> ConfigFile:

@@ -220,12 +220,13 @@ def validate_file(
     """Full pipeline: shots, prompt, budget, queries, filter, vote.
 
     The queries go out in settling waves and stop once the vote is settled.
-    Shot selection is seeded per target content, so results do not depend
-    on evaluation order. Raises
-    TokenBudgetExceededError when the target cannot fit and
+    Sampled shots are seeded per target content, so results do not depend
+    on evaluation order; cosine selection draws nothing and gets no seed.
+    Raises TokenBudgetExceededError when the target cannot fit and
     ValidationFailedError when no slot ever yields an accepted response.
     """
-    rng = _target_rng(settings.seed, target.content_key())
+    sampled = settings.strategy is not SelectionStrategy.COSINE_SIMILARITY
+    rng = _target_rng(settings.seed, target.content_key()) if sampled else None
     shots = select_shots(
         shot_db,
         target.project,

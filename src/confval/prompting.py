@@ -232,7 +232,7 @@ def select_shots(
     project: str,
     combo: ShotCombination,
     strategy: SelectionStrategy,
-    rng: random.Random,
+    rng: random.Random | None,
     target: ConfigFile | None = None,
     target_subcategory=None,
 ) -> list[Shot]:
@@ -240,7 +240,8 @@ def select_shots(
 
     SAME_SUBCATEGORY narrows misconfig shots to the target's known fault
     bucket (harness mode); COSINE_SIMILARITY ranks pools by parameter-name
-    similarity to the target instead of sampling.
+    similarity to the target instead of sampling, so with a target it
+    needs no rng.
     """
     if strategy is SelectionStrategy.COSINE_SIMILARITY and target is not None:
         target_terms = term_counts(_names_doc(target))

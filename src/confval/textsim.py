@@ -5,12 +5,7 @@ idf(t) = ln((1 + n) / (1 + df(t))) + 1, and vectors are L2-normalized, so
 cosine similarity is a plain dot product.
 
 Ranking a fixed pool against many queries goes through a TfidfIndex, built
-once per pool. It keeps each document's terms in first-occurrence order with
-the two weights each can take: the query either lacks the term (df) or has
-it (df + 1), since the query joins the collection. A ranking takes the
-query's term counts, so a query ranked against several pools is tokenised
-once, and costs work in the pool's term count. Its sums and products run in
-the order tfidf_vectors and cosine use, so every score, and every ranking, is
+once per pool. On each Python version its scores, and so every ranking, are
 bit-identical to building the vectors of [query] + docs per call.
 
 When every reason in a list is the same string (ten votes that agree),
@@ -132,54 +127,57 @@ class TfidfIndex:
     """TF-IDF statistics of a fixed pool of documents, for rank_by_similarity.
 
     The query counts as one more document: n is len(docs) + 1, and a pool
-    term's df rises by one when the query has it.
+    term's df rises by one when the query has it. The index keeps each
+    document's squared weights without the query, in first-occurrence
+    order, and postings: term -> (document, position, weight and squared
+    weight with the query). A ranking overwrites the shared terms' squares
+    in a copy for the norm and sums the dot product over shared terms only,
+    in cosine()'s order. A skipped term would add +0.0, which leaves a float
+    sum (3.12's compensated sum() too) bit-identical. The index keeps
+    nothing per call, so threads share it.
     """
 
     def __init__(self, docs: Sequence[str]):
         counts = [term_counts(doc) for doc in docs]
-        df: Counter = Counter()
-        for c in counts:
-            df.update(c.keys())
+        df = Counter(t for c in counts for t in c)
         n = len(docs) + 1
-        # per term: (idf when the query lacks it, idf when it has it)
-        self._idf = {t: (_idf(n, d), _idf(n, d + 1)) for t, d in df.items()}
+        self._idf = {t: _idf(n, d + 1) for t, d in df.items()}  # with the query
         self._unseen_idf = _idf(n, 1)  # a query term no document has
-        # per document, terms in first-occurrence order, each with its weight
-        # and squared weight without and with the query
-        self._docs: list[list[tuple[str, float, float, float, float]]] = []
-        for c in counts:
-            rows = []
-            for t, tf in c.items():
-                idf_without, idf_with = self._idf[t]
-                w0, w1 = tf * idf_without, tf * idf_with
-                rows.append((t, w0, w1, w0 * w0, w1 * w1))
-            self._docs.append(rows)
+        self._squares: list[list[float]] = []
+        self._postings: dict[str, list[tuple[int, int, float, float]]] = {}
+        for doc, c in enumerate(counts):
+            squares = []
+            for pos, (t, tf) in enumerate(c.items()):
+                w0, w1 = tf * _idf(n, df[t]), tf * self._idf[t]
+                squares.append(w0 * w0)
+                self._postings.setdefault(t, []).append((doc, pos, w1, w1 * w1))
+            self._squares.append(squares)
 
     def cosines(self, query_terms: Counter) -> list[float]:
         """Cosine of each document to the query whose term_counts are given,
         bit-identical to cosine() over tfidf_vectors([query] + docs)."""
-        query_vec = {}
-        for t, tf in query_terms.items():
-            idf = self._idf.get(t)
-            query_vec[t] = tf * (idf[1] if idf else self._unseen_idf)
+        weights = [tf * self._idf.get(t, self._unseen_idf) for t, tf in query_terms.items()]
         # every weight is at least 1, so a norm is 0 only for an empty vector
-        norm = math.sqrt(sum(w * w for w in query_vec.values()))
-        query_vec = {t: w / norm for t, w in query_vec.items()}
+        norm = math.sqrt(sum([w * w for w in weights]))
+        squares_of = [squares.copy() for squares in self._squares]
+        hits_of: list[list[tuple[int, float, float]]] = [[] for _ in self._squares]
+        for t, q in zip(query_terms, weights):
+            q /= norm
+            for doc, pos, w, s in self._postings.get(t, ()):
+                squares_of[doc][pos] = s
+                hits_of[doc].append((pos, w, q))
         scores = []
-        for rows in self._docs:
-            picked = [(t, w1, s1) if t in query_vec else (t, w0, s0) for t, w0, w1, s0, s1 in rows]
-            norm = math.sqrt(sum(s for _, _, s in picked))
-            # cosine() iterates the smaller vector, the query on a tie
-            if len(picked) < len(query_vec):
-                scores.append(sum(w / norm * query_vec.get(t, 0.0) for t, w, _ in picked))
-            else:
-                doc_vec = {t: w / norm for t, w, _ in picked}
-                scores.append(sum(w * doc_vec.get(t, 0.0) for t, w in query_vec.items()))
+        for squares, hits in zip(squares_of, hits_of):
+            norm = math.sqrt(sum(squares))  # 0 only for an empty document, which has no hits
+            # in document order when it is the smaller vector, as cosine() sums
+            if len(squares) < len(weights):
+                hits.sort()
+            scores.append(sum([w / norm * q for _, w, q in hits], 0.0))
         return scores
 
 
 def rank_by_similarity(query_terms: Counter, index: TfidfIndex) -> list[int]:
     """Indices of the index's documents sorted by descending cosine to the
-    query whose term_counts are given; stable."""
+    query whose term_counts are given; the sort is stable, reversed too."""
     scores = index.cosines(query_terms)
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from dataclasses import replace
 from xml.sax.saxutils import escape
@@ -166,6 +167,25 @@ class TestContentKey:
         assert changed.content_key() != file.content_key()
 
 
+def per_part_content_key(file):
+    """The content key hashed part by part: one sha256 update per part."""
+    h = hashlib.sha256()
+    h.update(file.project.encode("utf-8") + b"\x00")
+    h.update(file.version.encode("utf-8") + b"\x00")
+    for e in file.entries:
+        for part in (e.name, e.value, e.description or ""):
+            h.update(part.encode("utf-8") + b"\x00")
+        h.update(b"\x01")
+    return h.hexdigest()
+
+
+def test_content_key_matches_the_per_part_hash_on_the_corpus(six_datasets):
+    files = [lf.file for _, split in six_datasets.values() for lf in split.shot_pool + split.eval_set]
+    assert len(files) == 696
+    for file in files:
+        assert file.content_key() == per_part_content_key(file)
+
+
 def test_load_rejects_invalid_utf8(tmp_path):
     path = tmp_path / "broken.xml"
     path.write_bytes(b"<configuration>\xff</configuration>")
@@ -303,3 +323,13 @@ def test_compression_strictly_shrinks_token_estimate(file):
     after = estimate_tokens(render_config(compress(file), ConfigFormat.INI))
     assert after < before
 
+
+# the key's own separators, NUL and 0x01, inside the parts it joins
+_key_chars = st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from("\x00\x01é漢\U0001f600"))
+
+
+@settings(max_examples=200)
+@given(config_files(chars=_key_chars), st.text(_key_chars, min_size=1), st.text(_key_chars, min_size=1))
+def test_content_key_matches_the_per_part_hash(file, project, version):
+    file = replace(file, project=project, version=version)
+    assert file.content_key() == per_part_content_key(file)

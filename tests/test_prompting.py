@@ -275,7 +275,7 @@ class TestSelectShots:
         assert len(db.pool("tinyreg", Label.MISCONFIG)) == 3
         reached_fallback = set()
         for split in splits.values():
-            for labeled in split.eval_set[::5]:
+            for labeled in split.eval_set:
                 project = labeled.file.project
                 for combo in (DEFAULT_COMBINATION, ShotCombination(2, 5)):
                     shots = select_shots(

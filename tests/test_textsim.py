@@ -1,6 +1,6 @@
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confval import textsim
@@ -171,13 +171,29 @@ def rank_pools(draw):
     return draw(st.lists(st.one_of(rank_documents, permuted), min_size=1, max_size=15))
 
 
+def hex_scores(scores):
+    return [float(s).hex() for s in scores]
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(rank_documents, st.permutations(RANK_WORDS[:6]).map(" ".join)), rank_pools())
+# the index sums a dot product in document order when the document has fewer
+# terms than the query, else in query order; each example reaches one case
+@example("port dfs replication timeout server cache", ["port ms", "cache server timeout"])  # document order
+@example("port dfs", ["dfs port timeout", "port dfs ms 1"])  # query order
+@example("port dfs replication", ["replication dfs port", "port"])  # query order on a tie in length
+@example("port dfs", ["cache ms", "port"])  # a document sharing no term with the query
+@example("port dfs", ["", "!!!", "dfs"])  # empty documents
+@example("", ["port dfs", "cache"])  # an empty query
+@example("!!!", ["", "port"])  # a query and a document without a token
 def test_index_ranking_matches_reference(query, docs):
     index = TfidfIndex(docs)
     terms = term_counts(query)
     assert rank_by_similarity(terms, index) == _reference_rank_by_similarity(query, docs)
     vectors = tfidf_vectors([query] + docs)
-    assert index.cosines(terms) == [cosine(vectors[0], vec) for vec in vectors[1:]]
+    reference = [cosine(vectors[0], vec) for vec in vectors[1:]]
+    assert index.cosines(terms) == reference
+    # bit for bit, not only equal
+    assert hex_scores(index.cosines(terms)) == hex_scores(reference)
     # the index serves every query alike: a second one sees no state of the first
     assert rank_by_similarity(term_counts(docs[0]), index) == _reference_rank_by_similarity(docs[0], docs)
