@@ -157,14 +157,15 @@ def load_config_file(
     format: ConfigFormat | None = None,
 ) -> ConfigFile:
     """Read a .xml or .ini file from disk; format inferred from the suffix."""
-    path = Path(path)
     if format is None:
+        path = Path(path)
         suffix = path.suffix.lower()
         if suffix not in (".xml", ".ini"):
             raise ConfigParseError(f"cannot infer format from suffix {suffix!r}", str(path))
         format = ConfigFormat(suffix[1:])
     try:
-        text = path.read_bytes().decode("utf-8")
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigParseError(f"not valid UTF-8: {exc}", str(path)) from exc
     return parse_config(text, format, project, version)
@@ -178,7 +179,8 @@ def _read_xml(text: str) -> Iterator[tuple[str, str, str, str | None]]:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line, col = exc.position
-        raise ConfigParseError(f"malformed XML: {exc.msg}", f"line {line}, column {col}") from exc
+        message = exc.msg.rsplit(": line ", 1)[0]  # expat appends the position too
+        raise ConfigParseError(f"malformed XML: {message}", f"line {line}, column {col}") from exc
     if root.tag != "configuration":
         raise ConfigParseError(f"expected <configuration> root, got <{root.tag}>")
     for index, prop in enumerate(root, start=1):

@@ -345,7 +345,9 @@ def build_spec_set(
         if spec.name in by_name:
             raise SpecError(f"duplicate parameter spec: {spec.name}")
         involved = tuple(c for c in dependencies if spec.name in (c.p1, c.p2))
-        by_name[spec.name] = replace(spec, project=project, dependencies=involved)
+        if spec.project != project or spec.dependencies != involved:
+            spec = replace(spec, project=project, dependencies=involved)
+        by_name[spec.name] = spec
     for c in dependencies:
         for p in (c.p1, c.p2):
             if p not in by_name:
@@ -611,22 +613,6 @@ def spec_set_from_dict(doc: dict) -> SpecSet:
         project = doc["project"]
         version = doc["version"]
         file_format = ConfigFormat(doc.get("file_format", "xml"))
-        params = []
-        for item in doc["parameters"]:
-            ConfigEntry(item["name"], "")  # a name a configuration file can hold
-            rng = item.get("range")
-            params.append(
-                ParameterSpec(
-                    name=item["name"],
-                    project=project,
-                    kind=ValueKind(item["kind"]),
-                    numeric_range=tuple(rng) if rng is not None else None,
-                    default_value=item.get("default"),
-                    options=tuple(item.get("options", ())),
-                    units=tuple(item.get("units", ())),
-                    description=item.get("description"),
-                )
-            )
         deps = [
             DependencyConstraint(
                 kind=DependencyKind(item["kind"]),
@@ -637,6 +623,24 @@ def spec_set_from_dict(doc: dict) -> SpecSet:
             )
             for item in doc.get("dependencies", ())
         ]
+        params = []
+        for item in doc["parameters"]:
+            name = item["name"]
+            ConfigEntry(name, "")  # a name a configuration file can hold
+            rng = item.get("range")
+            params.append(
+                ParameterSpec(  # built as build_spec_set keeps it, so it is built once
+                    name=name,
+                    project=project,
+                    kind=ValueKind(item["kind"]),
+                    numeric_range=tuple(rng) if rng is not None else None,
+                    default_value=item.get("default"),
+                    options=tuple(item.get("options", ())),
+                    units=tuple(item.get("units", ())),
+                    description=item.get("description"),
+                    dependencies=tuple(c for c in deps if name in (c.p1, c.p2)),
+                )
+            )
         changes = [
             VersionChange(
                 v1=item["v1"],

@@ -78,14 +78,17 @@ def _matches(value: object, kind) -> bool:
 def checked(doc: object, types: dict[str, tuple], what: str) -> dict:
     """doc itself, once it is a JSON object whose every key is in types and holds
     a kind listed there: a type, or a list of types for an array whose every
-    item has one of them. Which keys must be present is the caller's concern."""
+    item has one of them. Which keys must be present is the caller's concern.
+    A value whose exact type is listed passes at once; the rest take _matches,
+    among them arrays and bools (Python counts a bool as an int, JSON does not)."""
     if not isinstance(doc, dict):
         raise SpecError(f"{what} must be a JSON object")
     for key, value in doc.items():
-        if key not in types:
+        kinds = types.get(key)
+        if kinds is None:
             raise SpecError(f"{what}: unknown key {key!r}")
-        if not any(_matches(value, kind) for kind in types[key]):
-            expected = " or ".join(_json_name(kind) for kind in types[key])
+        if type(value) not in kinds and not any(_matches(value, kind) for kind in kinds):
+            expected = " or ".join(_json_name(kind) for kind in kinds)
             raise SpecError(f"{what}: key {key!r} must be a JSON {expected}, got {value!r}")
     return doc
 

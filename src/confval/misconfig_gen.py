@@ -11,6 +11,7 @@ making a dataset a pure function of (specs, seed).
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +38,7 @@ from .constraints import (
     oracle_validate,
     value_violation,
 )
-from .errors import GenerationError, SpecError, checked, read_document
+from .errors import ConfigParseError, GenerationError, SpecError, checked, read_document
 
 MAX_ATTEMPTS = 40
 ENTRIES_PER_FILE = 8
@@ -502,14 +503,22 @@ _ROW_KEYS = {
     # misconfig rows only
     "parameter": (str,), "category": (str,), "subcategory": (str,), "reason": (str,),
 }
+# the values each enumerated key of a file row may hold, and what they read as
+_ROW_VALUES = {
+    "split": {"shot_pool", "eval_set"},
+    "label": {label.value: label for label in Label},
+    "format": {fmt.value: fmt for fmt in ConfigFormat},
+    "bucket": {"unbucketed": None, **{sc.value: sc for sc in Subcategory}},
+    "subcategory": {sc.value: sc for sc in Subcategory},
+}
 
 
 def write_dataset(split: DatasetSplit, root: str | Path, specs: SpecSet) -> Path:
     """Emit <root>/<project>/<split>/<subcategory>/<id>.<ext> plus a manifest."""
-    root = Path(root)
-    project_dir = root / specs.project
+    project_dir = Path(root) / specs.project
     rows = []
     counters: dict[tuple[str, str, str], int] = {}
+    folders: set[str] = set()  # made so far
     for split_name, files in (("shot_pool", split.shot_pool), ("eval_set", split.eval_set)):
         for lf in files:
             bucket = lf.bucket.value if lf.bucket else "unbucketed"
@@ -519,10 +528,14 @@ def write_dataset(split: DatasetSplit, root: str | Path, specs: SpecSet) -> Path
             index = counters.get(counter_key, 0)
             counters[counter_key] = index + 1
             ext = lf.file.format.value
+            folder = f"{project_dir}/{split_name}/{slug}"
+            if folder not in folders:
+                os.makedirs(folder, exist_ok=True)
+                folders.add(folder)
             rel = f"{split_name}/{slug}/{prefix}{index:03d}.{ext}"
-            target = project_dir / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(render_config(lf.file, lf.file.format), encoding="utf-8")
+            text = render_config(lf.file, lf.file.format)  # before the file is truncated
+            with open(f"{project_dir}/{rel}", "w", encoding="utf-8") as out:
+                out.write(text)
             row = {
                 "path": rel,
                 "split": split_name,
@@ -553,9 +566,9 @@ def write_dataset(split: DatasetSplit, root: str | Path, specs: SpecSet) -> Path
 def load_dataset(project_dir: str | Path) -> tuple[str, DatasetSplit]:
     """Read one project's corpus back from disk.
 
-    Raises SpecError when the manifest is malformed or unreadable, or when a
-    file's content no longer matches the content_key its manifest row records,
-    and SchemaVersionError for a manifest of another schema.
+    Raises SpecError when the manifest or a row is malformed or unreadable, a
+    row's path leaves the project directory, or a listed file does not parse or
+    no longer matches its row's content_key; SchemaVersionError for another schema.
     """
     manifest_path = Path(project_dir) / MANIFEST_NAME
     try:
@@ -576,27 +589,28 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
     shots: list[LabeledFile] = []
     evals: list[LabeledFile] = []
     for i, row in enumerate(manifest["files"]):
-        checked(row, _ROW_KEYS, f"{what} files[{i}]")
-        file = load_config_file(
-            project_dir / row["path"],
-            project,
-            version,
-            ConfigFormat(row["format"]),
-        )
+        where = f"{what} files[{i}]"
+        checked(row, _ROW_KEYS, where)
+        for key, known in _ROW_VALUES.items():
+            if key in row and row[key] not in known:
+                raise SpecError(f"{where}: unknown {key} {row[key]!r}")
+        rel = row["path"]
+        if os.path.isabs(rel) or ".." in rel.split("/"):
+            raise SpecError(f"{where}: path {rel!r} leaves the project directory")
+        path = f"{project_dir}/{rel}"
+        try:
+            file = load_config_file(path, project, version, _ROW_VALUES["format"][row["format"]])
+        except OSError as exc:
+            raise SpecError(f"{where}: cannot read {path}: {exc.strerror or exc}") from exc
+        except ConfigParseError as exc:
+            raise SpecError(f"{where}: cannot read {path}: {exc}") from exc
         if file.content_key() != row["content_key"]:
-            raise SpecError(
-                f"{project_dir / row['path']} does not match its manifest content_key"
-            )
+            raise SpecError(f"{path} does not match its manifest content_key")
+        label = _ROW_VALUES["label"][row["label"]]
         injected = None
-        if row["label"] == Label.MISCONFIG.value:
-            injected = InjectedFault(
-                parameter=row["parameter"],
-                subcategory=Subcategory(row["subcategory"]),
-                reason=row["reason"],
-            )
-        bucket = None if row["bucket"] == "unbucketed" else Subcategory(row["bucket"])
-        labeled = LabeledFile(file, Label(row["label"]), injected, bucket=bucket)
-        if row["split"] not in ("shot_pool", "eval_set"):
-            raise ValueError(f"unknown split {row['split']!r}")
+        if label is Label.MISCONFIG:
+            subcategory = _ROW_VALUES["subcategory"][row["subcategory"]]
+            injected = InjectedFault(row["parameter"], subcategory, row["reason"])
+        labeled = LabeledFile(file, label, injected, bucket=_ROW_VALUES["bucket"][row["bucket"]])
         (shots if row["split"] == "shot_pool" else evals).append(labeled)
     return project, DatasetSplit(tuple(shots), tuple(evals))

@@ -653,18 +653,24 @@ MANIFEST_FIELDS = (
 )
 
 
+ROW_ONLY_HOWS = ["content_key", "missing_file", "escape", "corrupt_file"]
+
+
 @st.composite
 def manifest_mutation(draw):
     """One way to break a manifest: a key dropped, a value of a wrong JSON
-    type, a wrong content_key, or a path to a missing file."""
+    type, a wrong content_key, a path to a missing file, a path that leaves
+    the project directory to reach a real file, or a listed file overwritten
+    with malformed markup."""
     where, key, kind = draw(st.sampled_from(MANIFEST_FIELDS))
-    hows = ["drop", "retype"] + (["content_key", "missing_file"] if where != "manifest" else [])
+    hows = ["drop", "retype"] + (ROW_ONLY_HOWS if where != "manifest" else [])
     how = draw(st.sampled_from(hows))
     value = draw(st.one_of(*(strategy for k, strategy in JSON_KINDS.items() if k != kind)))
     return where, key, how, draw(st.integers(min_value=0, max_value=10_000)), value
 
 
-def mutate_manifest(manifest, where, key, how, pick, value):
+def mutate_manifest(manifest, project_dir, where, key, how, pick, value):
+    """Apply the mutation; return the row it broke, or None for the manifest."""
     doc = manifest
     if where != "manifest":
         rows = [row for row in manifest["files"] if row["label"] == where]
@@ -675,8 +681,15 @@ def mutate_manifest(manifest, where, key, how, pick, value):
         doc[key] = value
     elif how == "content_key":
         doc["content_key"] = "0" * 16 if doc["content_key"] != "0" * 16 else "1" * 16
-    else:
+    elif how == "missing_file":
         doc["path"] = f"missing/{doc['path']}"
+    elif how == "escape":  # the same, real file, reached from outside
+        absolute = str((project_dir / doc["path"]).resolve())
+        doc["path"] = absolute if pick % 2 else f"../{project_dir.name}/{doc['path']}"
+    elif how == "corrupt_file":
+        markup = "<configuration><property>" if doc["format"] == "xml" else "no separator\n"
+        (project_dir / doc["path"]).write_text(markup, encoding="utf-8")
+    return None if where == "manifest" else doc
 
 
 # the JSON kinds each key of a spec document accepts, by where it sits: the
@@ -824,22 +837,33 @@ class TestBoundaryFuzz:
         assert code == 2
         assert "error:" in err
 
-    # more draws than the other fuzz tests: there are 66 (where, key, how) mutations
-    @settings(fuzz, max_examples=150)
+    # more draws than the other fuzz tests: there are 96 (where, key, how) mutations
+    @settings(fuzz, max_examples=200)
     @given(manifest_mutation())
     def test_broken_manifest_exits_two(self, readme_workspace, monkeypatch, mutation):
         monkeypatch.chdir(readme_workspace)
-        path = Path("dataset/readme/manifest.json")
+        project_dir = Path("dataset/readme")
+        path = project_dir / "manifest.json"
         original = path.read_text(encoding="utf-8")
         manifest = json.loads(original)
-        mutate_manifest(manifest, *mutation)
+        listed = {row["path"]: (project_dir / row["path"]).read_bytes() for row in manifest["files"]}
+        row = mutate_manifest(manifest, project_dir, *mutation)
         path.write_text(json.dumps(manifest), encoding="utf-8")
         try:
             code, err = self._evaluate(readme_config())
         finally:
             path.write_text(original, encoding="utf-8")
+            for rel, data in listed.items():
+                (project_dir / rel).write_bytes(data)
         assert code == 2
         assert "error:" in err
+        how = mutation[2]
+        if how in ("escape", "corrupt_file"):
+            (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+            index = manifest["files"].index(row)
+            assert f"files[{index}]" in line
+            if how == "corrupt_file":
+                assert str(project_dir / row["path"]) in line
 
     # as many draws as the manifest property: there are 27 (where, key) pairs
     @settings(fuzz, max_examples=150)

@@ -64,8 +64,9 @@ class TestParse:
 
     def test_unbalanced_markup_names_location(self):
         text = "<configuration><property><name>p</name>"
-        with pytest.raises(ConfigParseError, match="line"):
+        with pytest.raises(ConfigParseError, match="line") as caught:
             parse_config(text, ConfigFormat.XML, "demo", "1.0")
+        assert str(caught.value) == "malformed XML: no element found (at line 1, column 39)"
 
     def test_description_captured(self):
         text = (

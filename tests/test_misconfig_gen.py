@@ -19,7 +19,7 @@ from confval.constraints import (
     oracle_validate,
     value_violation,
 )
-from confval.errors import GenerationError
+from confval.errors import GenerationError, SpecError
 from confval.misconfig_gen import (
     Label,
     build_dataset,
@@ -325,6 +325,51 @@ class TestCorpusOnDisk:
         for lp, rp in zip(left, right):
             if lp.is_file():
                 assert lp.read_bytes() == rp.read_bytes()
+
+    def test_overwriting_another_corpus_matches_a_fresh_write(self, spec_set, tmp_path):
+        def tree(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        write_dataset(build_dataset(spec_set, rng=5), tmp_path / "over", spec_set)
+        before = tree(tmp_path / "over")
+        for out in ("over", "fresh"):
+            write_dataset(build_dataset(spec_set, rng=6), tmp_path / out, spec_set)
+        after, fresh = tree(tmp_path / "over"), tree(tmp_path / "fresh")
+        assert after == fresh
+        assert before.keys() == after.keys()
+        assert any(len(before[rel]) > len(after[rel]) for rel in after)  # a file got shorter
+
+    @pytest.mark.parametrize("key", ["split", "label", "format", "bucket", "subcategory"])
+    def test_unknown_row_value_names_the_row(self, spec_set, dataset, tmp_path, key):
+        project_dir = write_dataset(dataset, tmp_path, spec_set)
+        manifest = json.loads((project_dir / "manifest.json").read_text())
+        index = next(i for i, row in enumerate(manifest["files"]) if "subcategory" in row)
+        # checked before the file is read, so the missing file goes unnoticed
+        manifest["files"][index].update({key: "bogus", "path": "missing.xml"})
+        (project_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SpecError, match=rf"files\[{index}\]: unknown {key} 'bogus'"):
+            load_dataset(project_dir)
+
+    @pytest.mark.parametrize("escape", ["absolute", "parent"])
+    def test_row_path_must_stay_in_the_project(self, spec_set, dataset, tmp_path, escape):
+        project_dir = write_dataset(dataset, tmp_path, spec_set)
+        manifest = json.loads((project_dir / "manifest.json").read_text())
+        row = manifest["files"][3]
+        real = project_dir / row["path"]
+        row["path"] = str(real.resolve()) if escape == "absolute" else f"../{project_dir.name}/{row['path']}"
+        (project_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SpecError, match=r"files\[3\]: path .* leaves the project directory"):
+            load_dataset(project_dir)
+
+    def test_unparsable_file_names_the_row_and_the_file(self, spec_set, dataset, tmp_path):
+        project_dir = write_dataset(dataset, tmp_path, spec_set)
+        row = json.loads((project_dir / "manifest.json").read_text())["files"][2]
+        (project_dir / row["path"]).write_text("<configuration><property>")
+        with pytest.raises(SpecError) as caught:
+            load_dataset(project_dir)
+        message = str(caught.value)
+        assert f"files[2]: cannot read {project_dir}/{row['path']}: malformed XML" in message
+        assert message.count("line 1, column 25") == 1
 
     def test_seed_11_corpora_are_pinned(self, tmp_path):
         for specs in six_project_specs():
