@@ -93,6 +93,16 @@ def checked(doc: object, types: dict[str, tuple], what: str) -> dict:
     return doc
 
 
+def complete(doc: object, types: dict[str, tuple], what: str, required: tuple | None = None) -> dict:
+    """doc once checked() accepts it and it holds every key of required, by
+    default every key of types."""
+    checked(doc, types, what)
+    missing = [key for key in (types if required is None else required) if key not in doc]
+    if missing:
+        raise SpecError(f"{what}: missing key {missing[0]!r}")
+    return doc
+
+
 class UnknownParameterError(ConfvalError):
     """A configuration entry has no spec and no version record."""
 

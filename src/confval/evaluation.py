@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .backend import Backend
-from .errors import ConfvalError, SpecError, check_schema_version, checked
+from .errors import ConfvalError, check_schema_version, checked, complete
 from .misconfig_gen import DatasetSplit, Label, LabeledFile
 from .pipeline import PipelineSettings, Verdict, validate_file
 from .prompting import SelectionStrategy, ShotDatabase, enumerate_shot_combinations
@@ -84,7 +85,7 @@ def f1(cm: ConfusionMatrix) -> float:
 def macro_average(values: list[float]) -> float:
     if not values:
         raise ValueError("macro average needs at least one value")
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -210,17 +211,9 @@ _LEVEL_METRICS = {**_RATIOS, "tp": (int,), "fp": (int,), "tn": (int,), "fn": (in
 _LEVELS = {level.value: (dict,) for level in Level}
 
 
-def _complete(doc: object, types: dict[str, tuple], what: str) -> dict:
-    """doc once checked() accepts it and it holds every key of types."""
-    missing = [key for key in types if key not in checked(doc, types, what)]
-    if missing:
-        raise SpecError(f"{what}: missing key {missing[0]!r}")
-    return doc
-
-
 def _check_levels(doc: dict, metrics: dict[str, tuple], what: str) -> None:
-    for level, values in _complete(doc, _LEVELS, what).items():
-        _complete(values, metrics, f"{what}[{level!r}]")
+    for level, values in complete(doc, _LEVELS, what).items():
+        complete(values, metrics, f"{what}[{level!r}]")
 
 
 @dataclass(frozen=True)

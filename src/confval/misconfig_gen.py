@@ -38,7 +38,7 @@ from .constraints import (
     oracle_validate,
     value_violation,
 )
-from .errors import ConfigParseError, GenerationError, SpecError, checked, read_document
+from .errors import ConfigParseError, GenerationError, SpecError, checked, complete, read_document
 
 MAX_ATTEMPTS = 40
 ENTRIES_PER_FILE = 8
@@ -503,6 +503,9 @@ _ROW_KEYS = {
     # misconfig rows only
     "parameter": (str,), "category": (str,), "subcategory": (str,), "reason": (str,),
 }
+# the keys every file row must hold, and a misconfig row besides
+_ROW_REQUIRED = ("path", "split", "label", "bucket", "format", "content_key")
+_MISCONFIG_ROW_REQUIRED = _ROW_REQUIRED + ("parameter", "subcategory", "reason")
 # the values each enumerated key of a file row may hold, and what they read as
 _ROW_VALUES = {
     "split": {"shot_pool", "eval_set"},
@@ -590,7 +593,8 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
     evals: list[LabeledFile] = []
     for i, row in enumerate(manifest["files"]):
         where = f"{what} files[{i}]"
-        checked(row, _ROW_KEYS, where)
+        misconfig = row.get("label") == Label.MISCONFIG.value
+        complete(row, _ROW_KEYS, where, _MISCONFIG_ROW_REQUIRED if misconfig else _ROW_REQUIRED)
         for key, known in _ROW_VALUES.items():
             if key in row and row[key] not in known:
                 raise SpecError(f"{where}: unknown {key} {row[key]!r}")
@@ -611,6 +615,9 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
         if label is Label.MISCONFIG:
             subcategory = _ROW_VALUES["subcategory"][row["subcategory"]]
             injected = InjectedFault(row["parameter"], subcategory, row["reason"])
-        labeled = LabeledFile(file, label, injected, bucket=_ROW_VALUES["bucket"][row["bucket"]])
+        try:
+            labeled = LabeledFile(file, label, injected, bucket=_ROW_VALUES["bucket"][row["bucket"]])
+        except ValueError as exc:  # the injected parameter is not in the file
+            raise SpecError(f"{where}: {exc}") from exc
         (shots if row["split"] == "shot_pool" else evals).append(labeled)
     return project, DatasetSplit(tuple(shots), tuple(evals))

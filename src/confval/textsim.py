@@ -4,9 +4,10 @@ Tokens are lowercase alphanumeric runs. IDF is smoothed,
 idf(t) = ln((1 + n) / (1 + df(t))) + 1, and vectors are L2-normalized, so
 cosine similarity is a plain dot product.
 
-Ranking a fixed pool against many queries goes through a TfidfIndex, built
-once per pool. On each Python version its scores, and so every ranking, are
-bit-identical to building the vectors of [query] + docs per call.
+Every float sum is math.fsum, which rounds exactly once and so does not
+depend on the order of its terms or on the Python version. Ranking a fixed
+pool against many queries goes through a TfidfIndex, built once per pool; its
+scores are bit-identical to building the vectors of [query] + docs per call.
 
 When every reason in a list is the same string (ten votes that agree),
 dominant_representative returns it without clustering.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -44,7 +45,7 @@ def tfidf_vectors(docs: list[str]) -> list[dict[str, float]]:
     vectors = []
     for c in counts:
         vec = {t: tf * idf[t] for t, tf in c.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
+        norm = math.sqrt(math.fsum(w * w for w in vec.values()))
         if norm > 0:
             vec = {t: w / norm for t, w in vec.items()}
         vectors.append(vec)
@@ -54,7 +55,7 @@ def tfidf_vectors(docs: list[str]) -> list[dict[str, float]]:
 def cosine(u: dict[str, float], v: dict[str, float]) -> float:
     if len(v) < len(u):
         u, v = v, u
-    return sum(w * v.get(t, 0.0) for t, w in u.items())
+    return math.fsum(w * v.get(t, 0.0) for t, w in u.items())
 
 
 def similarity_matrix(docs: list[str]) -> list[list[float]]:
@@ -93,34 +94,35 @@ def single_linkage_clusters(sims: list[list[float]], threshold: float) -> list[l
     return [groups[root] for root in sorted(groups)]
 
 
+def _first_best(ranked: Iterable[tuple[int, float, int]]) -> int:
+    """The item of the best (size, score, item) triple: the largest size, then the
+    highest score, where scores within 1e-12 tie; a tie goes to the earliest."""
+    best = None
+    for size, score, item in ranked:
+        if best is None or size > best[0] or (size == best[0] and score > best[1] + 1e-12):
+            best = (size, score, item)
+    return best[2]
+
+
 def medoid(cluster: list[int], sims: list[list[float]]) -> int:
-    """Member with the highest total similarity to its cluster; first wins ties."""
-    best = cluster[0]
-    best_score = -1.0
-    for i in cluster:
-        score = sum(sims[i][j] for j in cluster)
-        if score > best_score + 1e-12:
-            best, best_score = i, score
-    return best
+    """Member with the highest total similarity to its cluster; first wins near ties."""
+    return _first_best((1, math.fsum(sims[i][j] for j in cluster), i) for i in cluster)
 
 
 def dominant_representative(docs: list[str], threshold: float = 0.4) -> str:
     """The medoid of the largest cluster; size ties go to the cluster whose
-    medoid is most tightly connected, then to the earliest cluster."""
+    medoid is most tightly connected, and tightness within 1e-12 ties, going
+    to the earliest cluster."""
     if not docs:
         raise ValueError("no documents to cluster")
     if docs.count(docs[0]) == len(docs):
         return docs[0]
     sims = similarity_matrix(docs)
-    clusters = single_linkage_clusters(sims, threshold)
-    best_cluster = None
-    best_rank: tuple[float, float] | None = None
-    for cluster in clusters:
+    ranked = []
+    for cluster in single_linkage_clusters(sims, threshold):
         rep = medoid(cluster, sims)
-        rank = (float(len(cluster)), sum(sims[rep][j] for j in cluster))
-        if best_rank is None or rank > best_rank:
-            best_cluster, best_rank = cluster, rank
-    return docs[medoid(best_cluster, sims)]
+        ranked.append((len(cluster), math.fsum(sims[rep][j] for j in cluster), rep))
+    return docs[_first_best(ranked)]
 
 
 class TfidfIndex:
@@ -131,10 +133,8 @@ class TfidfIndex:
     document's squared weights without the query, in first-occurrence
     order, and postings: term -> (document, position, weight and squared
     weight with the query). A ranking overwrites the shared terms' squares
-    in a copy for the norm and sums the dot product over shared terms only,
-    in cosine()'s order. A skipped term would add +0.0, which leaves a float
-    sum (3.12's compensated sum() too) bit-identical. The index keeps
-    nothing per call, so threads share it.
+    in a copy for the norm and sums the dot product over shared terms only.
+    The index keeps nothing per call, so threads share it.
     """
 
     def __init__(self, docs: Sequence[str]):
@@ -158,21 +158,18 @@ class TfidfIndex:
         bit-identical to cosine() over tfidf_vectors([query] + docs)."""
         weights = [tf * self._idf.get(t, self._unseen_idf) for t, tf in query_terms.items()]
         # every weight is at least 1, so a norm is 0 only for an empty vector
-        norm = math.sqrt(sum([w * w for w in weights]))
+        norm = math.sqrt(math.fsum([w * w for w in weights]))
         squares_of = [squares.copy() for squares in self._squares]
-        hits_of: list[list[tuple[int, float, float]]] = [[] for _ in self._squares]
+        hits_of: list[list[tuple[float, float]]] = [[] for _ in self._squares]
         for t, q in zip(query_terms, weights):
             q /= norm
             for doc, pos, w, s in self._postings.get(t, ()):
                 squares_of[doc][pos] = s
-                hits_of[doc].append((pos, w, q))
+                hits_of[doc].append((w, q))
         scores = []
         for squares, hits in zip(squares_of, hits_of):
-            norm = math.sqrt(sum(squares))  # 0 only for an empty document, which has no hits
-            # in document order when it is the smaller vector, as cosine() sums
-            if len(squares) < len(weights):
-                hits.sort()
-            scores.append(sum([w / norm * q for _, w, q in hits], 0.0))
+            norm = math.sqrt(math.fsum(squares))  # 0 only for an empty document, which has no hits
+            scores.append(math.fsum([w / norm * q for w, q in hits]))
         return scores
 
 

@@ -206,6 +206,14 @@ class TestMetricFormulas:
         rng = random.Random(1)
         values = [rng.random() for _ in range(9)]
         assert macro_average(values) == pytest.approx(sum(values) / 9, abs=1e-12)
+        # the sum is exact, so ten tenths average to a tenth on every Python
+        assert macro_average([0.1] * 10) == 0.1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.randoms(use_true_random=False))
+    def test_macro_average_ignores_order(self, values, rng):
+        shuffled = rng.sample(values, len(values))
+        assert macro_average(shuffled).hex() == macro_average(values).hex()
 
 
 class TestAggregation:

@@ -350,6 +350,30 @@ class TestCorpusOnDisk:
         with pytest.raises(SpecError, match=rf"files\[{index}\]: unknown {key} 'bogus'"):
             load_dataset(project_dir)
 
+    @pytest.mark.parametrize(
+        "key",
+        ["path", "split", "label", "bucket", "format", "content_key", "parameter", "subcategory", "reason"],
+    )
+    def test_missing_row_key_names_the_row(self, spec_set, dataset, tmp_path, key):
+        project_dir = write_dataset(dataset, tmp_path, spec_set)
+        manifest = json.loads((project_dir / "manifest.json").read_text())
+        index = next(i for i, row in enumerate(manifest["files"]) if row["label"] == "misconfig")
+        del manifest["files"][index][key]
+        (project_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SpecError, match=rf"files\[{index}\]: missing key '{key}'"):
+            load_dataset(project_dir)
+
+    def test_injected_parameter_missing_from_its_file_names_the_row(self, spec_set, dataset, tmp_path):
+        project_dir = write_dataset(dataset, tmp_path, spec_set)
+        manifest = json.loads((project_dir / "manifest.json").read_text())
+        index = next(i for i, row in enumerate(manifest["files"]) if row["label"] == "misconfig")
+        manifest["files"][index]["parameter"] = "no.such.parameter"
+        (project_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            SpecError, match=rf"files\[{index}\]: injected parameter 'no.such.parameter' missing from file"
+        ):
+            load_dataset(project_dir)
+
     @pytest.mark.parametrize("escape", ["absolute", "parent"])
     def test_row_path_must_stay_in_the_project(self, spec_set, dataset, tmp_path, escape):
         project_dir = write_dataset(dataset, tmp_path, spec_set)

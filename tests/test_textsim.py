@@ -1,9 +1,13 @@
+import hashlib
 import math
+from itertools import permutations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confval import textsim
+from confval.misconfig_gen import Label
+from confval.prompting import shot_db_from
 from confval.textsim import (
     TfidfIndex,
     cosine,
@@ -63,6 +67,13 @@ def test_equal_size_tie_prefers_tighter_cluster():
     assert representative == "omega psi"
 
 
+def test_near_tie_in_tightness_goes_to_the_earliest_cluster():
+    # both pairs are identical strings, but one pair's cosine rounds to just
+    # under 1.0 and the other's to 1.0: a tie all the same
+    docs = ["port out of range"] * 2 + ["value of p looks wrong"] * 2 + ["file missing entirely"]
+    assert dominant_representative(docs) == "port out of range"
+
+
 def test_identical_reasons_collapse():
     docs = ["same reason"] * 5
     assert dominant_representative(docs) == "same reason"
@@ -112,9 +123,10 @@ def _reference_dominant_representative(docs, threshold=0.4):
     best_rank = None
     for cluster in clusters:
         rep = medoid(cluster, sims)
-        rank = (float(len(cluster)), sum(sims[rep][j] for j in cluster))
-        if best_rank is None or rank > best_rank:
-            best_cluster, best_rank = cluster, rank
+        size, tightness = len(cluster), math.fsum(sims[rep][j] for j in cluster)
+        # sizes compare exactly, tightness within 1e-12 ties, and the earlier cluster wins a tie
+        if best_rank is None or size > best_rank[0] or (size == best_rank[0] and tightness > best_rank[1] + 1e-12):
+            best_cluster, best_rank = cluster, (size, tightness)
     return docs[medoid(best_cluster, sims)]
 
 
@@ -134,6 +146,7 @@ REASON_POOL = [
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(REASON_POOL), min_size=1, max_size=12))
+@example(["port out of range"] * 2 + ["value of p looks wrong"] * 2 + ["file missing entirely"])
 def test_matches_reference_on_repeated_documents(docs):
     assert dominant_representative(docs) == _reference_dominant_representative(docs)
 
@@ -158,8 +171,7 @@ def _reference_rank_by_similarity(query, docs):
 
 
 # few words, so documents repeat terms and share them, and scores tie; the
-# permuted documents hold equal terms in another order, which ties only when
-# every sum runs in the reference's order
+# permuted documents hold equal terms in another order, and must tie exactly
 RANK_WORDS = ["port", "dfs", "replication", "timeout", "server", "cache", "ms", "1", "!!!", ""]
 rank_documents = st.lists(st.sampled_from(RANK_WORDS), max_size=6).map(" ".join)
 
@@ -177,11 +189,11 @@ def hex_scores(scores):
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(rank_documents, st.permutations(RANK_WORDS[:6]).map(" ".join)), rank_pools())
-# the index sums a dot product in document order when the document has fewer
-# terms than the query, else in query order; each example reaches one case
-@example("port dfs replication timeout server cache", ["port ms", "cache server timeout"])  # document order
-@example("port dfs", ["dfs port timeout", "port dfs ms 1"])  # query order
-@example("port dfs replication", ["replication dfs port", "port"])  # query order on a tie in length
+# cosine() sums over the smaller vector, the index over the shared terms in
+# query order; each example gives the two sums different lengths or orders
+@example("port dfs replication timeout server cache", ["port ms", "cache server timeout"])  # smaller document
+@example("port dfs", ["dfs port timeout", "port dfs ms 1"])  # smaller query
+@example("port dfs replication", ["replication dfs port", "port"])  # a tie in length
 @example("port dfs", ["cache ms", "port"])  # a document sharing no term with the query
 @example("port dfs", ["", "!!!", "dfs"])  # empty documents
 @example("", ["port dfs", "cache"])  # an empty query
@@ -197,3 +209,34 @@ def test_index_ranking_matches_reference(query, docs):
     assert hex_scores(index.cosines(terms)) == hex_scores(reference)
     # the index serves every query alike: a second one sees no state of the first
     assert rank_by_similarity(term_counts(docs[0]), index) == _reference_rank_by_similarity(docs[0], docs)
+
+
+# --- pinned: the same scores and representatives on every Python version ---
+
+# sha256 over the hex of every score TfidfIndex.cosines gives the six demo
+# corpora's eval files against their own and the other projects' shot pools
+SIX_DATASETS_COSINES_SHA256 = "43189a7ad08ddc249f3eb8685ff346c3a9fa6f6bbbbb553c53a50c06f93ac07f"
+# sha256 over the representatives of the pools below, one a line
+REPRESENTATIVES_SHA256 = "ad5c26f215729765136f7959fee851e7adbbf2ea48fb7ffb95b7c98e2828463c"
+
+
+def test_cosine_scores_are_pinned(six_datasets):
+    db = shot_db_from(split for _, split in six_datasets.values())
+    digest = hashlib.sha256()
+    for project, (_, split) in six_datasets.items():
+        for labeled in split.eval_set:
+            terms = term_counts(" ".join(labeled.file.names()))
+            for label in Label:
+                for own in (True, False):
+                    _, index = db.ranked_pool(project, label, own)
+                    digest.update(" ".join(hex_scores(index.cosines(terms))).encode() + b"\n")
+    assert digest.hexdigest() == SIX_DATASETS_COSINES_SHA256
+
+
+def test_representatives_are_pinned():
+    # repeated reasons make clusters of one size whose tightness can differ
+    # only by rounding, so the tie rule picks among them
+    pools = [[a] * 2 + [b] * 2 + [c] for a, b, c in permutations(REASON_POOL, 3)]
+    pools += [[a] * k + [b] * k for a, b in permutations(REASON_POOL, 2) for k in (2, 3)]
+    representatives = "\n".join(dominant_representative(docs) for docs in pools)
+    assert hashlib.sha256(representatives.encode()).hexdigest() == REPRESENTATIVES_SHA256
