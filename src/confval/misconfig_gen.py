@@ -38,7 +38,7 @@ from .constraints import (
     oracle_validate,
     value_violation,
 )
-from .errors import ConfigParseError, GenerationError, SpecError, checked, complete, read_document
+from .errors import ConfigParseError, GenerationError, SpecError, complete, read_document
 
 MAX_ATTEMPTS = 40
 ENTRIES_PER_FILE = 8
@@ -586,7 +586,7 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
     project_dir = manifest_path.parent
     what = f"dataset manifest {manifest_path}"
     manifest = read_document(manifest_path, "dataset manifest", MANIFEST_SCHEMA_VERSION)
-    checked(manifest, _MANIFEST_KEYS, what)
+    complete(manifest, _MANIFEST_KEYS, what, ("project", "version", "files"))
     project = manifest["project"]
     version = manifest["version"]
     shots: list[LabeledFile] = []

@@ -14,7 +14,7 @@ answer the open slots could still give would change the winner: no other key,
 given every open slot, could beat the leader or take a tie from it under the
 tie-break above. The valid key wins every tie, so it also stands for every
 key not yet seen; a valid leader can at worst be tied by an unseen key. Each
-wave is the fewest answers after which some key already counted could be
+wave, the first included, is the fewest answers after which some key could be
 settled. Every first attempt goes before any retry, and every k-th before any
 (k+1)-th, which is the order of the paper's fixed rounds (every open slot at
 once); so an early-stopped run makes a prefix of that run's calls and, with
@@ -171,14 +171,13 @@ def _settling_wave(tally: Counter, open_slots: int) -> int:
 
     The vote is settled when no other key, given every open slot, could beat
     the winner or take a tie from it under vote's tie-break. Otherwise the
-    wave is the fewest further answers after which some counted key would be
-    settled, so fewer accepted answers could settle no counted key. With
-    nothing counted yet it is a majority of the open slots, although the
-    valid key alone could settle with half of them.
+    wave is the fewest further answers after which some key would be settled,
+    so fewer accepted answers could settle none. With nothing counted the
+    valid key, which wins every tie, stands for every key, so the first wave
+    is half the open slots, rounded up.
     """
-    if not tally:
-        return min(open_slots, open_slots // 2 + 1)
-    return min(open_slots, *(_answers_to_settle(key, tally, open_slots) for key in tally))
+    keys = tally or (_VALID_KEY,)
+    return min(open_slots, *(_answers_to_settle(key, tally, open_slots) for key in keys))
 
 
 def _answers_to_settle(key: Key, tally: Counter, open_slots: int) -> int:

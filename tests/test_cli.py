@@ -336,11 +336,11 @@ class TestExitCodeContract:
 
     def test_manifest_without_files(self, workspace):
         path = workspace["dataset"] / "clitest" / "manifest.json"
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        del manifest["files"]
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        result = self._evaluate(workspace)
-        self._assert_operational_error(result, "malformed dataset manifest")
+        original = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("project", "version", "files"):
+            path.write_text(json.dumps({k: v for k, v in original.items() if k != key}), encoding="utf-8")
+            result = self._evaluate(workspace)
+            self._assert_operational_error(result, f"dataset manifest {path}: missing key {key!r}")
 
     @pytest.mark.parametrize(
         "flags, needle",

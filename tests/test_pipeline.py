@@ -23,6 +23,7 @@ from confval.backend import (
     truth_map,
 )
 from confval.errors import BackendError, ResponseFormatError, ValidationFailedError
+from confval.evaluation import run_evaluation
 from confval.misconfig_gen import Label, build_dataset
 from confval.pipeline import PipelineSettings, Verdict, _settling_wave, validate_file, vote
 from confval.prompting import (
@@ -222,8 +223,11 @@ class TestValidateFile:
         target = first_eval(dataset, Label.MISCONFIG)
         backend = Counting(MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth)))
         verdict = validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
-        # 6 of 10 agreeing answers leave the 4 open slots unable to tie
-        assert waves == [6]
+        # the first wave is the 5 answers that could settle the valid key,
+        # which stands for every key not yet seen; 5 flags against 5 open
+        # slots could still be tied by the valid key, which wins the tie, so
+        # one more answer is asked for, and 6 against 4 open slots settle
+        assert waves == [5, 1]
         assert backend.calls == 6
         assert verdict.canonical_key == (True, (target.injected.parameter,))
         assert (verdict.tally, verdict.total_votes) == (6, 6)
@@ -231,6 +235,19 @@ class TestValidateFile:
         # six slots, one text: parsed and filtered once, voted six times
         assert readings == {"parse_response": 1, "validate_response": 1}
         assert len({id(r) for r in verdict.all_responses}) == 1
+        # a valid file settles in the first wave: 5 valid answers against 5
+        # open slots can at worst be tied, and the valid key wins every tie
+        target = first_eval(dataset, Label.VALID)
+        backend = Counting(MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth)))
+        waves.clear()
+        readings.clear()
+        verdict = validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
+        assert waves == [5]
+        assert backend.calls == 5
+        assert verdict.canonical_key == (False, ())
+        assert (verdict.tally, verdict.total_votes) == (5, 5)
+        assert verdict.reasons == ()
+        assert readings == {"parse_response": 1, "validate_response": 1}
 
     def test_repeated_rejection_still_retries_every_slot(self, corpus, waves, readings):
         dataset, shot_db, truth = corpus
@@ -251,18 +268,21 @@ class TestValidateFile:
                 return str(failure), backend.calls
 
         # every call rejected: each of the 10 slots makes its first attempt and
-        # 3 retries, and every one of the 40 answers is a discard; a slot's
-        # last attempt earns no retry, so the open slots shrink to 4, then 1
+        # 3 retries, and every one of the 40 answers is a discard. With nothing
+        # counted, a wave is half the open slots, rounded up, taken from one
+        # attempt: 10 open slots give waves of 5 until the last attempts, whose
+        # slots earn no retry, so the open slots shrink from 10 to 5, 2 and 1
         failure, calls = run(40)
         assert calls == 40
-        assert waves == [6, 4, 6, 4, 6, 4, 6, 3, 1]
+        assert waves == [5, 5, 5, 5, 5, 5, 5, 3, 1, 1]
         assert "(40 discarded, 0 backend failures)" in failure
         assert readings == {"parse_response": 1, "validate_response": 1}
-        # the first 10 calls rejected: every slot retries once, and 6 accepted
-        # retries settle the vote
+        # the first 10 calls rejected: every slot retries once; 5 accepted
+        # retries could still be tied by the valid key from the 5 open
+        # retries, and a sixth settles the vote
         verdict, calls = run(10)
         assert calls == 16
-        assert waves == [6, 4, 6]
+        assert waves == [5, 5, 5, 1]
         assert verdict.discarded_count == 10
         assert (verdict.tally, verdict.total_votes) == (6, 6)
         assert verdict.canonical_key == (True, (target.injected.parameter,))
@@ -353,13 +373,14 @@ class TestValidateFile:
         )
         backend = Counting(MockBackend(self._rejection_script(target, truth, settings)))
         verdict = validate_file(target.file, backend, shot_db, settings)
-        # calls 0-9 are rejected, 10 onwards accepted; a wave takes at most 3
-        # slots (any 3 answers could settle 4 open slots) of one attempt:
-        # first attempts 3 + 1 (calls 0-3), second attempts 3 + 1 (4-7),
-        # third attempts 3 (8 and 9 rejected, 10 accepted), then 1 of the
-        # remaining third attempt and 1 of the two fourth (11, 12 accepted):
-        # 3 votes beat the one open slot.
-        assert waves == [3, 1, 3, 1, 3, 1, 1]
+        # calls 0-9 are rejected, 10 onwards accepted; with nothing counted a
+        # wave is 2 of the 4 open slots (2 valid answers could at worst be
+        # tied), taken from one attempt: first attempts 2 + 2 (calls 0-3),
+        # second attempts 2 + 2 (4-7), third attempts 2 (8 and 9 rejected),
+        # the other two third attempts (10 and 11 accepted), then 1 of the
+        # two fourth (12 accepted): 2 votes against 2 open slots could still
+        # be tied by the valid key, 3 votes beat the one open slot.
+        assert waves == [2, 2, 2, 2, 2, 2, 1]
         assert backend.calls == 13
         assert verdict.discarded_count == 10
         assert verdict.canonical_key == (True, (target.injected.parameter,))
@@ -547,27 +568,34 @@ class TestStopRule:
         return verdict, backend.calls
 
     def test_stop_is_exact(self):
-        """For every tally over three keys and every open count up to 7 slots
-        in all, the vote is settled exactly when no way the open slots can
-        end changes the winner; and no outcome of fewer slots than a wave
-        settles it."""
+        """For every tally over three keys, the empty one included, and every
+        open count up to 7 slots in all, the vote is settled exactly when no
+        way the open slots can end changes the winner; no outcome of fewer
+        slots than a wave settles it, and a wave of answers for one key can."""
         for *counts, open_slots in itertools.product(range(8), repeat=4):
-            if not any(counts) or sum(counts) + open_slots > 7:
+            if sum(counts) + open_slots > 7 or not any(counts) and not open_slots:
                 continue
             tally = Counter({key: n for key, n in zip(COUNTED, counts) if n})
-            now = vote_winner((*counts, 0))
-            unchanged = all(
-                vote_winner(tuple(c + e for c, e in zip((*counts, 0), extra))) == now
-                for extra in outcomes(open_slots)
-            )
             wave = _settling_wave(tally, open_slots)
-            assert (wave == 0) == unchanged, (counts, open_slots, wave)
+            if any(counts):
+                now = vote_winner((*counts, 0))
+                unchanged = all(
+                    vote_winner(tuple(c + e for c, e in zip((*counts, 0), extra))) == now
+                    for extra in outcomes(open_slots)
+                )
+                assert (wave == 0) == unchanged, (counts, open_slots, wave)
+            else:
+                # nothing counted: no vote yet, so never settled
+                assert wave > 0, open_slots
             for extra in outcomes(wave - 1):
                 grown = tally + Counter(dict(zip(COUNTED + (UNSEEN,), extra)))
                 for ended in range(sum(extra), wave):
                     assert _settling_wave(grown, open_slots - ended) > 0, (counts, extra, ended)
-        for open_slots in range(1, 8):
-            assert _settling_wave(Counter(), open_slots) == open_slots // 2 + 1
+            if wave:
+                assert any(
+                    _settling_wave(tally + Counter({key: wave}), open_slots - wave) == 0
+                    for key in COUNTED + (UNSEEN,)
+                ), (counts, open_slots, wave)
 
     @settings(max_examples=200, deadline=None)
     @given(answer_scripts())
@@ -587,14 +615,17 @@ class TestStopRule:
             assert early.tally <= full.tally
 
     def test_valid_leader_that_can_at_worst_be_tied_stops(self, bare_target):
-        # 5 valid answers and 1 rejected in the first wave of 6: the 5 open
-        # slots could at most tie the valid key, which wins every tie
-        texts = [valid_answer().to_json()] * 5 + [MALFORMED_TEXT] + [valid_answer().to_json()] * 34
+        # 1 rejected and 4 valid answers in the first wave of 5 leave 6 open
+        # slots (5 first attempts and 1 retry), so one more answer is asked
+        # for; after 5 valid answers the 5 open slots could at most tie the
+        # valid key, which wins every tie
+        texts = [MALFORMED_TEXT] + [valid_answer().to_json()] * 39
         verdict, calls = self._run(bare_target, 10, 3, texts)
         assert calls == 6
         assert verdict.canonical_key == (False, ())
         assert (verdict.tally, verdict.discarded_count) == (5, 1)
-        # a strict margin asks once more, for 6 votes against 4 open slots
+        # a strict margin asks for a first wave of 6 and then once more, for
+        # 6 votes against 4 open slots
         assert self._run(bare_target, 10, 3, texts, strict_margin_wave)[1] == 7
 
     @settings(max_examples=100, deadline=None)
@@ -619,6 +650,44 @@ class TestStopRule:
             assert expected[0] is None
         else:
             assert verdict.to_report("t") == expected[0].to_report("t")
+
+
+@pytest.mark.parametrize(
+    "behavior, noise_rate, strategy",
+    [
+        (MockBehavior.ECHO_GROUND_TRUTH, 0.0, SelectionStrategy.RANDOM),
+        (MockBehavior.NOISE_WITH_RATE, 0.2, SelectionStrategy.COSINE_SIMILARITY),
+    ],
+)
+def test_early_stop_reports_as_fixed_rounds_on_the_corpus(
+    six_datasets, behavior, noise_rate, strategy
+):
+    """On the six-project corpus, two workers, the shipped stop rule gives the
+    report of the paper's fixed rounds byte for byte, from no more calls."""
+    splits = {project: split for project, (_, split) in six_datasets.items()}
+    shot_db = ShotDatabase(
+        shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool
+    )
+    truth = truth_map(splits.values())
+    settings = PipelineSettings(seed=11, strategy=strategy)
+
+    def run(wave_rule=None):
+        script = MockScript(behavior, truth=truth, noise_rate=noise_rate, seed=5)
+        backend = Counting(MockBackend(script, BackendConfig(max_parallel=2)))
+        with pytest.MonkeyPatch.context() as patch:
+            if wave_rule is not None:
+                patch.setattr(confval.pipeline, "_settling_wave", wave_rule)
+            report = run_evaluation(splits, backend, shot_db, settings, jobs=2)
+        return json.dumps(report.to_dict(), indent=2), report.files_scored, backend.calls
+
+    early, files, early_calls = run()
+    full, _, full_calls = run(every_open_slot)
+    assert early == full
+    assert early_calls <= full_calls
+    if behavior is MockBehavior.ECHO_GROUND_TRUTH:
+        # half the eval files are valid and settle in 5 calls, half are
+        # misconfigured and settle in 6
+        assert early_calls / files == 5.5
 
 
 # --- reading each distinct completion once, against reading every slot ---
