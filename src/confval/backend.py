@@ -262,7 +262,7 @@ class MockBackend(Backend):
         rng = _derived_rng(self.script.seed, fingerprint, index)
         if rng.random() >= self.script.noise_rate:
             return truth
-        if rng.random() < 0.5:
+        if rng.random() < 0.5 or not prompt.target.entries:  # nothing to flag
             return VALID_ANSWER_JSON
         flagged = rng.choice(prompt.target.names())
         return misconfig_answer(flagged, f"value of {flagged} looks wrong").to_json()

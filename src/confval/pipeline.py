@@ -1,4 +1,5 @@
-"""From raw completions to a final verdict: filter, retry, vote, explain.
+"""From raw completions to a final verdict: a FileVote filters, retries and
+votes with no I/O, and validate_file drives it one wave of queries at a time.
 
 Answers are grouped by (hasError, sorted unique flagged parameters) and the
 most frequent group wins; reasons never participate in the vote. Ties prefer
@@ -6,24 +7,19 @@ the answer flagging fewer parameters (fewer false alarms), then the
 lexicographically smallest parameter list, so the verdict is a pure function
 of the response multiset.
 
-A file has num_queries slots, each allowed retry_bound + 1 attempts. A
-rejected or unparseable completion is discarded and its slot waits for a
-retry; a slot is lost on a BackendError or when its attempts run out. Slots
-are queried in settling waves, and querying stops at the exact point where no
-answer the open slots could still give would change the winner: no other key,
-given every open slot, could beat the leader or take a tie from it under the
-tie-break above. The valid key wins every tie, so it also stands for every
+A FileVote gives a file num_queries slots, each allowed retry_bound + 1
+attempts. A rejected or unparseable completion is discarded and its slot waits
+for a retry; a slot is lost on a BackendError or when its attempts run out.
+next_wave hands out slots in settling waves and stops at the exact point where
+no answer the open slots could still give would change the winner: no other
+key, given every open slot, could beat the leader or take a tie from it under
+the tie-break above. The valid key wins every tie, so it also stands for every
 key not yet seen; a valid leader can at worst be tied by an unseen key. Each
 wave, the first included, is the fewest answers after which some key could be
 settled. Every first attempt goes before any retry, and every k-th before any
 (k+1)-th, which is the order of the paper's fixed rounds (every open slot at
 once); so an early-stopped run makes a prefix of that run's calls and, with
 answers that depend only on the call's position, votes for the same key.
-
-Each distinct completion is parsed and filtered once per file. A repeat still
-uses its slot and counts as a vote or a discard, and a rejected repeat still
-earns its slot a retry. An accepted repeat votes with the same response
-object, so its canonical key is computed once per distinct answer.
 
 The vote counts a pool of answers and the reasons are clustered in sorted
 order, so neither depends on which thread served which slot, and parallel
@@ -199,14 +195,68 @@ def _target_rng(seed: int, content_key: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _read(completion: str) -> ValidationResponse | None:
-    """The accepted response in a completion; None when it does not parse or
-    breaks an R1-R4 rule."""
-    try:
-        parsed = parse_response(completion)
-    except ResponseFormatError:
-        return None
-    return parsed if validate_response(parsed) is None else None
+class FileVote:
+    """One file's vote, fed one wave at a time. Each distinct completion is
+    parsed and filtered once per file. A repeat still uses its slot and counts
+    as a vote or a discard, and a rejected repeat still earns its slot a retry.
+    An accepted repeat votes with the same response object, so its canonical
+    key is computed once per distinct answer.
+    """
+
+    def __init__(self, settings: PipelineSettings):
+        self.settings = settings
+        # open slots by the attempt they make next; a wave takes slots of one
+        # attempt only, so which thread's call served which slot cannot matter
+        self.waiting = [settings.num_queries] + [0] * settings.retry_bound
+        self.attempt = self.discarded = self.backend_failures = 0
+        self.accepted: list[ValidationResponse] = []
+        self.tally: Counter = Counter()
+        self.readings: dict[str, ValidationResponse | None] = {}
+
+    def next_wave(self) -> int:
+        """Take the next settling wave's slots, all of one attempt; 0 when none."""
+        open_slots = sum(self.waiting)
+        wave = open_slots and _settling_wave(self.tally, open_slots)
+        if wave:
+            self.attempt = next(a for a, count in enumerate(self.waiting) if count)
+            wave = min(wave, self.waiting[self.attempt])
+            self.waiting[self.attempt] -= wave
+        return wave
+
+    def add(self, results: list[str | BackendError]) -> None:
+        """Count one wave's completions and BackendErrors, in any order."""
+        readings, accepted, tally = self.readings, self.accepted, self.tally
+        for result in results:
+            if isinstance(result, BackendError):
+                self.backend_failures += 1
+                continue
+            reading = readings[result] if result in readings else self.read(result)
+            if reading is None:
+                self.discarded += 1
+                if self.attempt < self.settings.retry_bound:
+                    self.waiting[self.attempt + 1] += 1
+            else:
+                accepted.append(reading)
+                tally[reading.canonical_key()] += 1
+
+    def read(self, completion: str) -> ValidationResponse | None:
+        """A new completion's accepted response, kept in readings; None if rejected."""
+        try:
+            parsed = parse_response(completion)
+        except ResponseFormatError:
+            parsed = None
+        reading = None if parsed is None or validate_response(parsed) is not None else parsed
+        self.readings[completion] = reading
+        return reading
+
+    def verdict(self, target_key: str) -> Verdict:
+        """vote over the accepted answers; ValidationFailedError when none was."""
+        if not self.accepted:
+            raise ValidationFailedError(
+                f"no accepted response after {self.settings.num_queries} slots "
+                f"({self.discarded} discarded, {self.backend_failures} backend failures)"
+            )
+        return vote(self.accepted, discarded_count=self.discarded, target_key=target_key)
 
 
 def validate_file(
@@ -216,9 +266,8 @@ def validate_file(
     settings: PipelineSettings = PipelineSettings(),
     target_subcategory=None,
 ) -> Verdict:
-    """Full pipeline: shots, prompt, budget, queries, filter, vote.
+    """Full pipeline: shots, prompt, budget, then a FileVote's query waves.
 
-    The queries go out in settling waves and stop once the vote is settled.
     Sampled shots are seeded per target content, so results do not depend
     on evaluation order; cosine selection draws nothing and gets no seed.
     Raises TokenBudgetExceededError when the target cannot fit and
@@ -227,52 +276,12 @@ def validate_file(
     sampled = settings.strategy is not SelectionStrategy.COSINE_SIMILARITY
     rng = _target_rng(settings.seed, target.content_key()) if sampled else None
     shots = select_shots(
-        shot_db,
-        target.project,
-        settings.combination,
-        settings.strategy,
-        rng,
-        target=target,
-        target_subcategory=target_subcategory,
+        shot_db, target.project, settings.combination, settings.strategy, rng,
+        target=target, target_subcategory=target_subcategory,
     )
     prompt = build_prompt(target, shots, settings.question_template)
     prompt = fit_to_budget(prompt, backend.config.token_limit)
-
-    accepted: list[ValidationResponse] = []
-    tally: Counter = Counter()
-    discarded = 0
-    backend_failures = 0
-    # each distinct completion text -> _read's outcome, kept for this file only
-    readings: dict[str, ValidationResponse | None] = {}
-    # open slots by the attempt they make next; a wave takes slots of one
-    # attempt only, so which thread's call served which slot cannot matter
-    waiting = [settings.num_queries] + [0] * settings.retry_bound
-    while open_slots := sum(waiting):
-        wave = _settling_wave(tally, open_slots)
-        if wave == 0:
-            break
-        attempt = next(a for a, count in enumerate(waiting) if count)
-        wave = min(wave, waiting[attempt])
-        waiting[attempt] -= wave
-        for result in query_batch(backend, prompt, wave):
-            if isinstance(result, BackendError):
-                backend_failures += 1
-                continue
-            if result in readings:
-                reading = readings[result]
-            else:
-                reading = readings[result] = _read(result)
-            if reading is not None:
-                accepted.append(reading)
-                tally[reading.canonical_key()] += 1
-                continue
-            discarded += 1
-            if attempt < settings.retry_bound:
-                waiting[attempt + 1] += 1
-
-    if not accepted:
-        raise ValidationFailedError(
-            f"no accepted response after {settings.num_queries} slots "
-            f"({discarded} discarded, {backend_failures} backend failures)"
-        )
-    return vote(accepted, discarded_count=discarded, target_key=target.content_key())
+    file_vote = FileVote(settings)
+    while wave := file_vote.next_wave():
+        file_vote.add(query_batch(backend, prompt, wave))
+    return file_vote.verdict(target.content_key())

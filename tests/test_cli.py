@@ -389,6 +389,23 @@ class TestExitCodeContract:
         self._assert_operational_error(result, "exceed the token limit (20) even compressed")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("suffix, text", [(".xml", "<configuration></configuration>\n"), (".ini", "")])
+    def test_noise_mock_on_file_without_entries(self, workspace, suffix, text):
+        """With nothing to flag, a noise answer says valid: exit 0, no traceback."""
+        path = workspace["tmp"] / f"empty{suffix}"
+        path.write_text(text, encoding="utf-8")
+        for seed in (1, 2, 3):
+            config = write_config(
+                workspace["tmp"], num_queries=10, seed=seed, shots={"valid": 0, "misconfig": 0},
+                mock={"behavior": "noise_with_rate", "noise_rate": 1.0, "seed": seed},
+            )
+            result = run_cli(
+                "validate", "--file", str(path), "--project", "clitest", "--version", "1.0.0",
+                "--config", str(config),
+            )
+            assert (result.returncode, result.stderr) == (0, "")
+            assert json.loads(result.stdout)["hasError"] is False
+
     def test_config_document_not_an_object(self, workspace):
         config = workspace["tmp"] / "confval.json"
         config.write_text("[1, 2]", encoding="utf-8")

@@ -22,10 +22,10 @@ from confval.backend import (
     query_batch,
     truth_map,
 )
-from confval.errors import BackendError, ResponseFormatError, ValidationFailedError
+from confval.errors import ResponseFormatError, ValidationFailedError
 from confval.evaluation import run_evaluation
-from confval.misconfig_gen import Label, build_dataset
-from confval.pipeline import PipelineSettings, Verdict, _settling_wave, validate_file, vote
+from confval.misconfig_gen import Label
+from confval.pipeline import FileVote, PipelineSettings, Verdict, _settling_wave, validate_file, vote
 from confval.prompting import (
     SelectionStrategy,
     ShotCombination,
@@ -36,7 +36,7 @@ from confval.prompting import (
 )
 from confval.responses import ValidationResponse, parse_response, valid_answer, validate_response
 
-from conftest import Counting, demo_spec_set
+from conftest import Counting
 
 
 def flagging(*params):
@@ -234,7 +234,9 @@ class TestValidateFile:
         assert verdict.reasons == (target.injected.reason,)
         # six slots, one text: parsed and filtered once, voted six times
         assert readings == {"parse_response": 1, "validate_response": 1}
-        assert len({id(r) for r in verdict.all_responses}) == 1
+        file_vote = FileVote(PipelineSettings())
+        assert drive(file_vote, [truth[target.file.content_key()]] * 40)[1] == 6
+        assert len({id(r) for r in file_vote.accepted}) == 1
         # a valid file settles in the first wave: 5 valid answers against 5
         # open slots can at worst be tied, and the valid key wins every tie
         target = first_eval(dataset, Label.VALID)
@@ -397,23 +399,29 @@ class TestValidateFile:
         # and 3 retries
         assert backend.calls == 40
 
-    def test_noise_deterministic_across_runs(self, corpus):
+    def test_noise_deterministic_across_runs(self, corpus, monkeypatch):
         dataset, shot_db, truth = corpus
         target = first_eval(dataset, Label.MISCONFIG)
+        served = Counter()
+
+        def serving(backend, prompt, count):
+            served.update(results := query_batch(backend, prompt, count))
+            return results
+
+        monkeypatch.setattr(confval.pipeline, "query_batch", serving)
 
         def run(parallel):
             script = MockScript(
                 MockBehavior.NOISE_WITH_RATE, truth=truth, noise_rate=0.5, seed=99
             )
             backend = MockBackend(script, BackendConfig(max_parallel=parallel))
-            return validate_file(target.file, backend, shot_db, PipelineSettings(seed=5))
+            served.clear()
+            return validate_file(target.file, backend, shot_db, PipelineSettings(seed=5)), Counter(served)
 
-        first, second = run(1), run(1)
+        (first, first_texts), (second, second_texts) = run(1), run(1)
         assert first.canonical_key == second.canonical_key
         assert first.tally == second.tally
-        assert sorted(r.canonical_key() for r in first.all_responses) == sorted(
-            r.canonical_key() for r in second.all_responses
-        )
+        assert first_texts == second_texts
 
     def test_noise_independent_of_parallelism(self, corpus):
         dataset, shot_db, truth = corpus
@@ -503,11 +511,29 @@ def answer_scripts(draw):
     return num_queries, retry_bound, texts
 
 
-@pytest.fixture(scope="module")
-def bare_target():
-    """A misconfigured target, prompted with no shots."""
-    dataset = build_dataset(demo_spec_set(), rng=random.Random(7))
-    return first_eval(dataset, Label.MISCONFIG).file
+def drive(file_vote, texts, rng=None):
+    """Feed file_vote texts[i] for its i-th call, each wave shuffled by rng
+    when one is given, until it asks for no more: (verdict or None, calls)."""
+    calls = 0
+    while True:
+        waiting = list(file_vote.waiting)
+        wave = file_vote.next_wave()
+        if not wave:
+            break
+        # a wave takes open slots of the lowest open attempt, and no more
+        assert not any(waiting[: file_vote.attempt]) and wave <= waiting[file_vote.attempt]
+        results = texts[calls : calls + wave]
+        if rng is not None:
+            rng.shuffle(results)
+        file_vote.add(results)
+        calls += wave
+    assert file_vote.next_wave() == 0
+    settings = file_vote.settings
+    assert calls <= settings.num_queries * (settings.retry_bound + 1)
+    try:
+        return file_vote.verdict("t"), calls
+    except ValidationFailedError:
+        return None, calls
 
 
 def strict_margin_wave(tally, open_slots):
@@ -546,26 +572,14 @@ def outcomes(slots):
 
 
 class TestStopRule:
-    def _run(self, target, num_queries, retry_bound, texts, wave_rule=None):
-        """validate_file over scripted completions, with wave_rule in place of
+    def _run(self, num_queries, retry_bound, texts, wave_rule=None, rng=None):
+        """A FileVote fed the scripted completions, with wave_rule in place of
         _settling_wave when one is given: (verdict or None, calls made)."""
-        settings = PipelineSettings(
-            num_queries=num_queries, retry_bound=retry_bound, combination=ShotCombination(0, 0)
-        )
-        fp = prompt_fingerprint(build_prompt(target, [], settings.question_template).text)
-        backend = Counting(
-            MockBackend(
-                MockScript(MockBehavior.ALWAYS_VALID, responses={(fp, i): t for i, t in enumerate(texts)})
-            )
-        )
+        file_vote = FileVote(PipelineSettings(num_queries=num_queries, retry_bound=retry_bound))
         with pytest.MonkeyPatch.context() as patch:
             if wave_rule is not None:
                 patch.setattr(confval.pipeline, "_settling_wave", wave_rule)
-            try:
-                verdict = validate_file(target, backend, ShotDatabase([]), settings)
-            except ValidationFailedError:
-                verdict = None
-        return verdict, backend.calls
+            return drive(file_vote, texts, rng)
 
     def test_stop_is_exact(self):
         """For every tally over three keys, the empty one included, and every
@@ -599,11 +613,11 @@ class TestStopRule:
 
     @settings(max_examples=200, deadline=None)
     @given(answer_scripts())
-    def test_early_stop_keeps_the_key_and_saves_calls(self, bare_target, script):
+    def test_early_stop_keeps_the_key_and_saves_calls(self, script):
         num_queries, retry_bound, texts = script
-        full, full_calls = self._run(bare_target, num_queries, retry_bound, texts, every_open_slot)
-        strict, strict_calls = self._run(bare_target, num_queries, retry_bound, texts, strict_margin_wave)
-        early, early_calls = self._run(bare_target, num_queries, retry_bound, texts)
+        full, full_calls = self._run(num_queries, retry_bound, texts, every_open_slot)
+        strict, strict_calls = self._run(num_queries, retry_bound, texts, strict_margin_wave)
+        early, early_calls = self._run(num_queries, retry_bound, texts)
         assert early_calls <= strict_calls <= full_calls <= num_queries * (retry_bound + 1)
         # waves take the lowest attempt number first, so the early-stopped run
         # makes a prefix of the full run's calls: the same key, even where
@@ -614,42 +628,40 @@ class TestStopRule:
             assert early.discarded_count <= full.discarded_count
             assert early.tally <= full.tally
 
-    def test_valid_leader_that_can_at_worst_be_tied_stops(self, bare_target):
+    def test_valid_leader_that_can_at_worst_be_tied_stops(self):
         # 1 rejected and 4 valid answers in the first wave of 5 leave 6 open
         # slots (5 first attempts and 1 retry), so one more answer is asked
         # for; after 5 valid answers the 5 open slots could at most tie the
         # valid key, which wins every tie
         texts = [MALFORMED_TEXT] + [valid_answer().to_json()] * 39
-        verdict, calls = self._run(bare_target, 10, 3, texts)
+        verdict, calls = self._run(10, 3, texts)
         assert calls == 6
         assert verdict.canonical_key == (False, ())
         assert (verdict.tally, verdict.discarded_count) == (5, 1)
         # a strict margin asks for a first wave of 6 and then once more, for
         # 6 votes against 4 open slots
-        assert self._run(bare_target, 10, 3, texts, strict_margin_wave)[1] == 7
+        assert self._run(10, 3, texts, strict_margin_wave)[1] == 7
 
     @settings(max_examples=100, deadline=None)
     @given(answer_scripts(), st.randoms(use_true_random=False))
-    def test_wave_outcome_ignores_which_call_served_which_slot(self, bare_target, script, rng):
+    def test_wave_outcome_ignores_which_call_served_which_slot(self, script, rng):
         """Parallel slots take call indices in whatever order their threads run;
         a wave whose results come back in any order must give the same verdict."""
         num_queries, retry_bound, texts = script
-        expected = self._run(bare_target, num_queries, retry_bound, texts)
-        original = confval.pipeline.query_batch
+        expected, expected_calls = self._run(num_queries, retry_bound, texts)
+        verdict, calls = self._run(num_queries, retry_bound, texts, rng=rng)
+        assert calls == expected_calls
+        assert (verdict and verdict.to_report("t")) == (expected and expected.to_report("t"))
 
-        def shuffled(backend, prompt, count):
-            results = original(backend, prompt, count)
-            rng.shuffle(results)
-            return results
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(confval.pipeline, "query_batch", shuffled)
-            verdict, calls = self._run(bare_target, num_queries, retry_bound, texts)
-        assert calls == expected[1]
-        if verdict is None:
-            assert expected[0] is None
-        else:
-            assert verdict.to_report("t") == expected[0].to_report("t")
+@pytest.fixture(scope="module")
+def six_corpus(six_datasets):
+    """The six-project corpus: (eval splits, shot database, truth map)."""
+    splits = {project: split for project, (_, split) in six_datasets.items()}
+    shot_db = ShotDatabase(
+        shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool
+    )
+    return splits, shot_db, truth_map(splits.values())
 
 
 @pytest.mark.parametrize(
@@ -660,15 +672,11 @@ class TestStopRule:
     ],
 )
 def test_early_stop_reports_as_fixed_rounds_on_the_corpus(
-    six_datasets, behavior, noise_rate, strategy
+    six_corpus, behavior, noise_rate, strategy
 ):
     """On the six-project corpus, two workers, the shipped stop rule gives the
     report of the paper's fixed rounds byte for byte, from no more calls."""
-    splits = {project: split for project, (_, split) in six_datasets.items()}
-    shot_db = ShotDatabase(
-        shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool
-    )
-    truth = truth_map(splits.values())
+    splits, shot_db, truth = six_corpus
     settings = PipelineSettings(seed=11, strategy=strategy)
 
     def run(wave_rule=None):
@@ -690,6 +698,30 @@ def test_early_stop_reports_as_fixed_rounds_on_the_corpus(
         assert early_calls / files == 5.5
 
 
+# every eval file's verdict report as a JSON line, hashed; the same on Python 3.10-3.12
+VERDICT_DIGESTS = {
+    SelectionStrategy.RANDOM: "a62d20927f4fcbea659b833d3a8032f8956632000cc97e2a2bfe634c908d016b",
+    SelectionStrategy.COSINE_SIMILARITY: "231583545484d0304a3a1bb4731f2e6bb2d0f414eebd65cc6fc8a817f987ec47",
+}
+
+
+@pytest.mark.parametrize("strategy", list(VERDICT_DIGESTS))
+def test_validate_output_is_pinned(six_corpus, strategy):
+    """Tally, votes, discards and reasons per file, which evaluate reports
+    leave out, stay as they were at 0.5 noise."""
+    splits, shot_db, truth = six_corpus
+    script = MockScript(MockBehavior.NOISE_WITH_RATE, truth=truth, noise_rate=0.5, seed=5)
+    backend = MockBackend(script, BackendConfig(max_parallel=4))
+    settings = PipelineSettings(seed=11, strategy=strategy)
+    digest = hashlib.sha256()
+    for project in sorted(splits):
+        for labeled in splits[project].eval_set:
+            verdict = validate_file(labeled.file, backend, shot_db, settings)
+            report = verdict.to_report(labeled.file.content_key())
+            digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == VERDICT_DIGESTS[strategy]
+
+
 # --- reading each distinct completion once, against reading every slot ---
 
 PROSE_FENCED = "Here is my answer:\n```json\n" + flagging("a").to_json() + "\n```\nHope it helps."
@@ -704,38 +736,15 @@ ALPHABET = (
 )
 
 
-def per_slot_verdict(target, backend, settings):
-    """validate_file's query loop with every slot's completion parsed and
-    filtered on its own: the verdict, or None when no slot is accepted."""
-    prompt = build_prompt(target, [], settings.question_template)
-    accepted = []
-    tally = Counter()
-    discarded = 0
-    waiting = [settings.num_queries] + [0] * settings.retry_bound
-    while open_slots := sum(waiting):
-        wave = _settling_wave(tally, open_slots)
-        if wave == 0:
-            break
-        attempt = next(a for a, count in enumerate(waiting) if count)
-        wave = min(wave, waiting[attempt])
-        waiting[attempt] -= wave
-        for result in query_batch(backend, prompt, wave):
-            if isinstance(result, BackendError):
-                continue
-            try:
-                parsed = parse_response(result)
-            except ResponseFormatError:
-                parsed = None
-            if parsed is not None and validate_response(parsed) is None:
-                accepted.append(parsed)
-                tally[parsed.canonical_key()] += 1
-                continue
-            discarded += 1
-            if attempt < settings.retry_bound:
-                waiting[attempt + 1] += 1
-    if not accepted:
-        return None
-    return vote(accepted, discarded_count=discarded, target_key=target.content_key())
+class PerSlotVote(FileVote):
+    """A FileVote that parses and filters every slot's completion on its own."""
+
+    def read(self, completion):
+        try:
+            parsed = parse_response(completion)
+        except ResponseFormatError:
+            return None
+        return parsed if validate_response(parsed) is None else None
 
 
 @settings(max_examples=150, deadline=None)
@@ -744,23 +753,14 @@ def per_slot_verdict(target, backend, settings):
     retry_bound=st.integers(0, 3),
     data=st.data(),
 )
-def test_reading_once_matches_reading_every_slot(bare_target, num_queries, retry_bound, data):
+def test_reading_once_matches_reading_every_slot(num_queries, retry_bound, data):
     calls_at_most = num_queries * (retry_bound + 1)
     texts = data.draw(
         st.lists(st.sampled_from(ALPHABET), min_size=calls_at_most, max_size=calls_at_most)
     )
-    settings = PipelineSettings(
-        num_queries=num_queries, retry_bound=retry_bound, combination=ShotCombination(0, 0)
-    )
-    fp = prompt_fingerprint(build_prompt(bare_target, [], settings.question_template).text)
-
-    def backend():
-        responses = {(fp, i): text for i, text in enumerate(texts)}
-        return Counting(MockBackend(MockScript(MockBehavior.ALWAYS_VALID, responses=responses)))
-
-    reference_backend = backend()
-    expected = per_slot_verdict(bare_target, reference_backend, settings)
-    cached_backend = backend()
+    settings = PipelineSettings(num_queries=num_queries, retry_bound=retry_bound)
+    reference, cached = PerSlotVote(settings), FileVote(settings)
+    expected, reference_calls = drive(reference, texts)
     parsed = Counter()
     original = confval.pipeline.parse_response
 
@@ -770,15 +770,8 @@ def test_reading_once_matches_reading_every_slot(bare_target, num_queries, retry
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(confval.pipeline, "parse_response", counting)
-        try:
-            verdict = validate_file(bare_target, cached_backend, ShotDatabase([]), settings)
-        except ValidationFailedError:
-            verdict = None
-    assert cached_backend.calls == reference_backend.calls
-    # the mock numbers its calls 0, 1, ..., so these are the texts served
-    assert parsed == Counter(set(texts[: cached_backend.calls]))
-    if expected is None:
-        assert verdict is None
-    else:
-        assert verdict.to_report("t") == expected.to_report("t")
-        assert Counter(verdict.all_responses) == Counter(expected.all_responses)
+        verdict, calls = drive(cached, texts)
+    assert calls == reference_calls
+    assert parsed == Counter(set(texts[:calls]))
+    assert (verdict and verdict.to_report("t")) == (expected and expected.to_report("t"))
+    assert Counter(cached.accepted) == Counter(reference.accepted)
