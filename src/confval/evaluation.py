@@ -20,7 +20,7 @@ from .backend import Backend
 from .errors import ConfvalError, check_schema_version, checked, complete
 from .misconfig_gen import DatasetSplit, Label, LabeledFile
 from .pipeline import PipelineSettings, Verdict, validate_file
-from .prompting import SelectionStrategy, ShotDatabase, enumerate_shot_combinations
+from .prompting import ShotDatabase, enumerate_shot_combinations
 
 REPORT_SCHEMA_VERSION = 1
 BUCKET_EDGES = (4, 8, 16, 32)
@@ -337,10 +337,9 @@ def run_evaluation(
 
     def one(item: tuple[str, LabeledFile]):
         project, truth = item
-        subcat = truth.bucket if settings.strategy is SelectionStrategy.SAME_SUBCATEGORY else None
         try:
             verdict = validate_file(
-                truth.file, backend, shot_db, settings, target_subcategory=subcat
+                truth.file, backend, shot_db, settings, target_subcategory=truth.bucket
             )
             return scored_from(verdict, truth), None
         except ConfvalError as exc:

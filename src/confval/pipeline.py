@@ -28,8 +28,6 @@ backends stay reproducible.
 
 from __future__ import annotations
 
-import hashlib
-import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -190,11 +188,6 @@ def _answers_to_settle(key: Key, tally: Counter, open_slots: int) -> int:
     return max(0, *((count + behind + wins_tie + 1) // 2 for count, wins_tie in rivals))
 
 
-def _target_rng(seed: int, content_key: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{content_key}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 class FileVote:
     """One file's vote, fed one wave at a time. Each distinct completion is
     parsed and filtered once per file. A repeat still uses its slot and counts
@@ -268,16 +261,11 @@ def validate_file(
 ) -> Verdict:
     """Full pipeline: shots, prompt, budget, then a FileVote's query waves.
 
-    Sampled shots are seeded per target content, so results do not depend
-    on evaluation order; cosine selection draws nothing and gets no seed.
     Raises TokenBudgetExceededError when the target cannot fit and
     ValidationFailedError when no slot ever yields an accepted response.
     """
-    sampled = settings.strategy is not SelectionStrategy.COSINE_SIMILARITY
-    rng = _target_rng(settings.seed, target.content_key()) if sampled else None
     shots = select_shots(
-        shot_db, target.project, settings.combination, settings.strategy, rng,
-        target=target, target_subcategory=target_subcategory,
+        shot_db, target, settings.combination, settings.strategy, settings.seed, target_subcategory
     )
     prompt = build_prompt(target, shots, settings.question_template)
     prompt = fit_to_budget(prompt, backend.config.token_limit)

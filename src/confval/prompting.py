@@ -14,11 +14,10 @@ import hashlib
 import math
 import random
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .config_model import ConfigFile, compress, frozen_cached_property, render_config
 from .errors import ConfvalError, InsufficientShotsError, TokenBudgetExceededError
@@ -117,8 +116,9 @@ class SelectionStrategy(Enum):
 class ShotDatabase:
     """Immutable pool of shots grouped by project and label.
 
-    It also owns the TF-IDF index of each pool that cosine selection ranks,
-    built on the first ranking, so runs that never rank build none.
+    pools() gives the two pools selection walks for a project, and index()
+    the TF-IDF index of either pool that cosine selection ranks, built on
+    first use, so runs that never rank build none.
     """
 
     def __init__(self, shots: Iterable[Shot]):
@@ -128,41 +128,42 @@ class ShotDatabase:
                 shot.source_project, {Label.VALID: [], Label.MISCONFIG: []}
             )
             slot[shot.label].append(shot)
-        # every other project's shots in project order, built once rather than
-        # per file; None keys the pools for a project with no shots here
+        # both pools of each project, built once rather than per file; None
+        # keys the pools of a project with no shots here
         names = self.projects()
-        self._others = {
-            (project, label): tuple(
-                shot for name in names if name != project for shot in self._by_project[name][label]
+        self._pools = {
+            (project, label): (
+                tuple(self._by_project[project][label]) if project else (),
+                tuple(shot for name in names if name != project for shot in self._by_project[name][label]),
             )
             for project in names + [None]
             for label in Label
         }
-        self._indexes: dict[tuple[str | None, Label, bool], TfidfIndex] = {}
+        self._indexes: dict[tuple[str | None, Label, int], TfidfIndex] = {}
         self._index_lock = threading.Lock()
 
     def projects(self) -> list[str]:
         return sorted(self._by_project)
 
     def pool(self, project: str, label: Label) -> list[Shot]:
-        return list(self._by_project.get(project, {}).get(label, ()))
+        return list(self.pools(project, label)[0])
 
-    def other_pool(self, project: str, label: Label) -> tuple[Shot, ...]:
-        key = (project, label) if project in self._by_project else (None, label)
-        return self._others[key]
+    def pools(self, project: str, label: Label) -> tuple[tuple[Shot, ...], tuple[Shot, ...]]:
+        """The project's own shots of a label, then every other project's
+        together, in project order."""
+        return self._pools.get((project, label)) or self._pools[None, label]
 
-    def ranked_pool(self, project: str, label: Label, own: bool) -> tuple[Sequence[Shot], TfidfIndex]:
-        """pool() when own, else other_pool(), with the index of its shots'
-        parameter names."""
-        pool = self.pool(project, label) if own else self.other_pool(project, label)
-        key = (project if project in self._by_project else None, label, own)
+    def index(self, project: str, label: Label, which: int) -> TfidfIndex:
+        """The index of the parameter names of pools(project, label)[which]."""
+        key = (project if project in self._by_project else None, label, which)
         index = self._indexes.get(key)
         if index is None:
             with self._index_lock:
                 index = self._indexes.get(key)
                 if index is None:
+                    pool = self._pools[key[:2]][which]
                     index = self._indexes[key] = TfidfIndex([_names_doc(s.labeled.file) for s in pool])
-        return pool, index
+        return index
 
 
 def load_corpus(dataset_root: str | Path) -> dict[str, DatasetSplit]:
@@ -189,82 +190,60 @@ def load_shot_db(dataset_root: str | Path) -> ShotDatabase:
     return shot_db_from(load_corpus(dataset_root).values())
 
 
-def _take(
-    primary: Sequence[Shot], fallback: Sequence[Shot], count: int, rng: random.Random
-) -> list[Shot]:
-    if count == 0:
-        return []
-    if len(primary) >= count:
-        return rng.sample(primary, count)
-    remaining = count - len(primary)
-    if len(fallback) < remaining:
-        raise InsufficientShotsError(
-            f"requested {count} shots, only {len(primary) + len(fallback)} available"
-        )
-    return list(primary) + rng.sample(fallback, remaining)
-
-
 def _names_doc(file: ConfigFile) -> str:
     return " ".join(file.names())
 
 
-def _rank_by_cosine(
-    db: ShotDatabase, project: str, label: Label, target_terms: Counter, count: int
-) -> list[Shot]:
-    """The count shots nearest the target, from its own project's pool first."""
-    picked: list[Shot] = []
-    available = 0
-    for own in (True, False):
-        if len(picked) == count:
-            return picked
-        pool, index = db.ranked_pool(project, label, own)
-        available += len(pool)
-        if pool:
-            order = rank_by_similarity(target_terms, index)
-            picked += [pool[i] for i in order[: count - len(picked)]]
-    if len(picked) < count:
-        raise InsufficientShotsError(f"requested {count} shots, only {available} available")
-    return picked
+def _target_rng(seed: int, content_key: str) -> random.Random:
+    digest = hashlib.sha256(f"{seed}:{content_key}".encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def select_shots(
     db: ShotDatabase,
-    project: str,
+    target: ConfigFile,
     combo: ShotCombination,
     strategy: SelectionStrategy,
-    rng: random.Random | None,
-    target: ConfigFile | None = None,
+    seed: int = 0,
     target_subcategory=None,
 ) -> list[Shot]:
-    """Pick the requested mix of shots, same-project pools first.
+    """Pick the requested mix of shots for the target.
 
-    SAME_SUBCATEGORY narrows misconfig shots to the target's known fault
-    bucket (harness mode); COSINE_SIMILARITY ranks pools by parameter-name
-    similarity to the target instead of sampling, so with a target it
-    needs no rng.
+    For each label, the target project's own pool gives what it can, then the
+    other projects' pools together give the rest; InsufficientShotsError when
+    both hold too few. RANDOM and SAME_SUBCATEGORY sample a pool that holds
+    enough, with a generator seeded by seed and the target's content, so a
+    choice does not depend on evaluation order; SAME_SUBCATEGORY first
+    narrows the misconfig pools to a known target_subcategory, which the
+    other strategies ignore. COSINE_SIMILARITY draws nothing: it takes the
+    shots whose parameter names are nearest the target's by TF-IDF cosine.
     """
-    if strategy is SelectionStrategy.COSINE_SIMILARITY and target is not None:
-        target_terms = term_counts(_names_doc(target))
-        valid = _rank_by_cosine(db, project, Label.VALID, target_terms, combo.valid_count)
-        misconfig = _rank_by_cosine(db, project, Label.MISCONFIG, target_terms, combo.misconfig_count)
-        return valid + misconfig
-
-    valid_primary = db.pool(project, Label.VALID)
-    valid_fallback = db.other_pool(project, Label.VALID)
-    mis_primary = db.pool(project, Label.MISCONFIG)
-    mis_fallback = db.other_pool(project, Label.MISCONFIG)
-
-    if strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None:
-        mis_primary = [
-            s for s in mis_primary if s.labeled.injected.subcategory is target_subcategory
-        ]
-        mis_fallback = [
-            s for s in mis_fallback if s.labeled.injected.subcategory is target_subcategory
-        ]
-
-    valid = _take(valid_primary, valid_fallback, combo.valid_count, rng)
-    misconfig = _take(mis_primary, mis_fallback, combo.misconfig_count, rng)
-    return valid + misconfig
+    cosine = strategy is SelectionStrategy.COSINE_SIMILARITY
+    terms = term_counts(_names_doc(target)) if cosine else None
+    rng = None if cosine else _target_rng(seed, target.content_key())
+    narrow = strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None
+    picked: list[Shot] = []
+    for label, count in ((Label.VALID, combo.valid_count), (Label.MISCONFIG, combo.misconfig_count)):
+        pools = db.pools(target.project, label)
+        if narrow and label is Label.MISCONFIG:
+            pools = [
+                [s for s in pool if s.labeled.injected.subcategory is target_subcategory] for pool in pools
+            ]
+        need = count
+        for which, pool in enumerate(pools):
+            if not need:
+                break
+            if cosine:
+                order = rank_by_similarity(terms, db.index(target.project, label, which))
+                taken = [pool[i] for i in order[:need]]
+            else:
+                taken = rng.sample(pool, need) if len(pool) >= need else pool
+            picked += taken
+            need -= len(taken)
+        if need:
+            # every pool was taken whole
+            raise InsufficientShotsError(f"requested {count} shots, only {count - need} available")
+    return picked
 
 
 def prompt_fingerprint(text: str) -> str:

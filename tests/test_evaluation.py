@@ -389,6 +389,24 @@ class TestRunEvaluation:
         assert parallel == serial
         assert len(builds) == serial_builds
 
+    def test_a_random_run_builds_no_index(self, six_datasets, monkeypatch):
+        """Only cosine selection ranks, so a random-strategy evaluation builds
+        no TF-IDF index."""
+        splits = {project: split for project, (_, split) in six_datasets.items()}
+        builds = []
+
+        class CountingIndex(confval.prompting.TfidfIndex):
+            def __init__(self, docs):
+                builds.append(docs)
+                super().__init__(docs)
+
+        monkeypatch.setattr(confval.prompting, "TfidfIndex", CountingIndex)
+        shot_db = ShotDatabase(shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool)
+        backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth_map(splits.values())))
+        report = run_evaluation(splits, backend, shot_db, PipelineSettings(num_queries=1, seed=3))
+        assert report.files_scored == sum(len(split.eval_set) for split in splits.values())
+        assert builds == []
+
     def test_all_malformed_records_failures(self, echo_setup):
         datasets, _, shot_db = echo_setup
         backend = MockBackend(MockScript(MockBehavior.MALFORMED))

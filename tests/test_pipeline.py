@@ -2,7 +2,6 @@ import functools
 import hashlib
 import itertools
 import json
-import random
 from collections import Counter
 
 import pytest
@@ -31,7 +30,6 @@ from confval.prompting import (
     ShotCombination,
     ShotDatabase,
     build_prompt,
-    select_shots,
     shot_from_labeled,
 )
 from confval.responses import ValidationResponse, parse_response, valid_answer, validate_response
@@ -437,42 +435,6 @@ class TestValidateFile:
         sequential, parallel = run(1), run(8)
         assert sequential.canonical_key == parallel.canonical_key
         assert sequential.tally == parallel.tally
-
-    @pytest.mark.parametrize(
-        "strategy",
-        [SelectionStrategy.COSINE_SIMILARITY, SelectionStrategy.RANDOM, SelectionStrategy.SAME_SUBCATEGORY],
-    )
-    def test_only_sampled_shots_seed_a_target_rng(self, corpus, monkeypatch, strategy):
-        """Cosine selection draws nothing, so no per-target rng is seeded for
-        it; the sampling strategies still draw from sha256(seed:content key)."""
-        dataset, shot_db, truth = corpus
-        target = first_eval(dataset, Label.MISCONFIG)
-        seeded, built = [], []
-        original_rng = confval.pipeline._target_rng
-        monkeypatch.setattr(
-            confval.pipeline, "_target_rng", lambda *args: seeded.append(args) or original_rng(*args)
-        )
-
-        def building(file, shots, template):
-            built.append(shots)
-            return build_prompt(file, shots, template)
-
-        monkeypatch.setattr(confval.pipeline, "build_prompt", building)
-        settings = PipelineSettings(seed=5, strategy=strategy, combination=ShotCombination(1, 1))
-        subcategory = target.injected.subcategory
-        backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
-        verdict = validate_file(target.file, backend, shot_db, settings, target_subcategory=subcategory)
-        assert verdict.canonical_key == (True, (target.injected.parameter,))
-        key = target.file.content_key()
-        sampled = strategy is not SelectionStrategy.COSINE_SIMILARITY
-        assert seeded == ([(5, key)] if sampled else [])
-        digest = hashlib.sha256(f"5:{key}".encode("utf-8")).digest()
-        rng = random.Random(int.from_bytes(digest[:8], "big"))
-        expected = select_shots(
-            shot_db, target.file.project, settings.combination, strategy, rng,
-            target=target.file, target_subcategory=subcategory,
-        )
-        assert built == [expected]
 
     def test_verdict_carries_target_identity(self, corpus):
         dataset, shot_db, truth = corpus

@@ -1,15 +1,19 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confval.pipeline
 import confval.prompting
 import confval.textsim
 from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat, render_config
 from confval.constraints import Subcategory
 from confval.errors import InsufficientShotsError, TokenBudgetExceededError
+from confval.backend import MockBackend, MockBehavior, MockScript, truth_map
 from confval.misconfig_gen import InjectedFault, Label, LabeledFile
+from confval.pipeline import PipelineSettings, validate_file
 from confval.prompting import (
     DEFAULT_COMBINATION,
     SelectionStrategy,
@@ -21,6 +25,7 @@ from confval.prompting import (
     fit_to_budget,
     prompt_fingerprint,
     select_shots,
+    shot_db_from,
     shot_from_labeled,
 )
 from confval.textsim import cosine, tfidf_vectors
@@ -90,45 +95,120 @@ def make_db():
     return ShotDatabase(shots)
 
 
+# --- a frozen reference: the selection before one loop served every strategy ---
+
+
+def reference_take(primary, fallback, count, rng):
+    if count == 0:
+        return []
+    if len(primary) >= count:
+        return rng.sample(primary, count)
+    remaining = count - len(primary)
+    if len(fallback) < remaining:
+        raise InsufficientShotsError(
+            f"requested {count} shots, only {len(primary) + len(fallback)} available"
+        )
+    return list(primary) + rng.sample(fallback, remaining)
+
+
+def reference_rank(db, project, label, target, count):
+    """The count shots nearest the target by per-call TF-IDF vectors, from
+    its own project's pool first."""
+    picked, available = [], 0
+    for pool in (db.pool(project, label), reference_other_pool(db, project, label)):
+        if len(picked) == count:
+            return picked
+        available += len(pool)
+        if pool:
+            docs = [" ".join(shot.labeled.file.names()) for shot in pool]
+            vectors = tfidf_vectors([" ".join(target.names())] + docs)
+            scores = [cosine(vectors[0], vec) for vec in vectors[1:]]
+            order = sorted(range(len(docs)), key=lambda i: (-scores[i], i))
+            picked += [pool[i] for i in order[: count - len(picked)]]
+    if len(picked) < count:
+        raise InsufficientShotsError(f"requested {count} shots, only {available} available")
+    return picked
+
+
+def reference_other_pool(db, project, label):
+    out = []
+    for name in db.projects():
+        if name != project:
+            out.extend(db.pool(name, label))
+    return out
+
+
+def reference_select(db, target, combo, strategy, seed=0, target_subcategory=None):
+    project = target.project
+    if strategy is SelectionStrategy.COSINE_SIMILARITY:
+        return reference_rank(db, project, Label.VALID, target, combo.valid_count) + reference_rank(
+            db, project, Label.MISCONFIG, target, combo.misconfig_count
+        )
+    digest = hashlib.sha256(f"{seed}:{target.content_key()}".encode("utf-8")).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    mis_primary = db.pool(project, Label.MISCONFIG)
+    mis_fallback = reference_other_pool(db, project, Label.MISCONFIG)
+    if strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None:
+        mis_primary = [s for s in mis_primary if s.labeled.injected.subcategory is target_subcategory]
+        mis_fallback = [s for s in mis_fallback if s.labeled.injected.subcategory is target_subcategory]
+    valid = reference_take(
+        db.pool(project, Label.VALID), reference_other_pool(db, project, Label.VALID),
+        combo.valid_count, rng,
+    )
+    return valid + reference_take(mis_primary, mis_fallback, combo.misconfig_count, rng)
+
+
+def six_splits_and_databases(six_datasets):
+    """The six demo corpora by project, a shot database of all of them and
+    one that lacks the first project's shots."""
+    splits = {project: split for project, (_, split) in six_datasets.items()}
+    first = sorted(splits)[0]
+    return splits, [
+        shot_db_from(splits.values()),
+        shot_db_from(split for project, split in splits.items() if project != first),
+    ]
+
+
+def choice_or_error(select, db, labeled, combo, strategy, seed):
+    """The shots' ids and prompt text select gives, or its InsufficientShotsError message."""
+    try:
+        shots = select(db, labeled.file, combo, strategy, seed, labeled.bucket)
+    except InsufficientShotsError as exc:
+        return str(exc)
+    ids = [(s.source_project, s.labeled.file.content_key()) for s in shots]
+    return labeled.file.project, ids, build_prompt(labeled.file, shots).text
+
+
 class TestSelectShots:
     def test_requested_mix_from_same_project(self):
         db = make_db()
-        shots = select_shots(
-            db, "demo", ShotCombination(1, 3), SelectionStrategy.RANDOM, random.Random(0)
-        )
+        shots = select_shots(db, small_file(), ShotCombination(1, 3), SelectionStrategy.RANDOM)
         assert len(shots) == 4
         assert sum(s.label is Label.VALID for s in shots) == 1
         assert sum(s.label is Label.MISCONFIG for s in shots) == 3
         assert all(s.source_project == "demo" for s in shots)
 
     def test_zero_shot(self):
-        shots = select_shots(
-            make_db(), "demo", ShotCombination(0, 0), SelectionStrategy.RANDOM, random.Random(0)
-        )
+        shots = select_shots(make_db(), small_file(), ShotCombination(0, 0), SelectionStrategy.RANDOM)
         assert shots == []
 
     def test_fallback_to_other_projects(self):
         db = make_db()
-        shots = select_shots(
-            db, "unseen", ShotCombination(1, 1), SelectionStrategy.RANDOM, random.Random(0)
-        )
+        shots = select_shots(db, small_file("unseen"), ShotCombination(1, 1), SelectionStrategy.RANDOM)
         assert len(shots) == 2
         assert all(s.source_project in ("demo", "other") for s in shots)
 
     def test_insufficient_is_an_error(self):
         db = ShotDatabase([valid_shot()])
-        with pytest.raises(InsufficientShotsError):
-            select_shots(
-                db, "demo", ShotCombination(2, 0), SelectionStrategy.RANDOM, random.Random(0)
-            )
+        for strategy in SelectionStrategy:
+            with pytest.raises(InsufficientShotsError, match="requested 2 shots, only 1 available"):
+                select_shots(db, small_file(), ShotCombination(2, 0), strategy)
 
     def test_deterministic_for_seed(self):
         db = make_db()
         pick = lambda: [  # noqa: E731
             s.labeled.file.content_key()
-            for s in select_shots(
-                db, "demo", ShotCombination(2, 2), SelectionStrategy.RANDOM, random.Random(9)
-            )
+            for s in select_shots(db, small_file(), ShotCombination(2, 2), SelectionStrategy.RANDOM, seed=9)
         ]
         assert pick() == pick()
 
@@ -136,24 +216,25 @@ class TestSelectShots:
         db = make_db()
         shots = select_shots(
             db,
-            "demo",
+            small_file(),
             ShotCombination(0, 2),
             SelectionStrategy.SAME_SUBCATEGORY,
-            random.Random(0),
             target_subcategory=Subcategory.RANGE_PORT,
         )
         assert all(
             s.labeled.injected.subcategory is Subcategory.RANGE_PORT for s in shots
         )
+        # with no known sub-category (validate), it draws exactly like random
+        unknown = select_shots(db, small_file(), ShotCombination(1, 2), SelectionStrategy.SAME_SUBCATEGORY)
+        assert unknown == select_shots(db, small_file(), ShotCombination(1, 2), SelectionStrategy.RANDOM)
 
     def test_same_subcategory_spans_projects_when_needed(self):
         db = make_db()
         shots = select_shots(
             db,
-            "demo",
+            small_file(),
             ShotCombination(0, 3),
             SelectionStrategy.SAME_SUBCATEGORY,
-            random.Random(0),
             target_subcategory=Subcategory.SYNTAX_PATH,
         )
         assert len(shots) == 3
@@ -162,14 +243,7 @@ class TestSelectShots:
     def test_cosine_prefers_overlapping_parameters(self):
         db = make_db()
         target = small_file("demo", ("m2", "x"))
-        shots = select_shots(
-            db,
-            "demo",
-            ShotCombination(0, 1),
-            SelectionStrategy.COSINE_SIMILARITY,
-            random.Random(0),
-            target=target,
-        )
+        shots = select_shots(db, target, ShotCombination(0, 1), SelectionStrategy.COSINE_SIMILARITY)
         assert shots[0].labeled.file.names()[0] == "m2"
 
     def test_cosine_tokenises_the_target_once(self, monkeypatch):
@@ -178,10 +252,7 @@ class TestSelectShots:
 
         def select():
             # 5 of each label: the own pool of 4 and then the other project's
-            return select_shots(
-                db, "demo", ShotCombination(5, 5), SelectionStrategy.COSINE_SIMILARITY,
-                random.Random(0), target=target,
-            )
+            return select_shots(db, target, ShotCombination(5, 5), SelectionStrategy.COSINE_SIMILARITY)
 
         expected = select()  # builds the four pool indexes
         tokenised, ranked = [], []
@@ -194,103 +265,99 @@ class TestSelectShots:
         assert tokenised == ["m2 x"]
         assert len(ranked) == 4
 
+    @pytest.mark.parametrize("strategy", list(SelectionStrategy))
+    def test_only_sampled_shots_seed_a_target_rng(self, six_datasets, monkeypatch, strategy):
+        """Cosine selection draws nothing, so no per-target rng is seeded for
+        it; the sampling strategies draw from sha256(seed:content key)."""
+        splits, (db, _) = six_splits_and_databases(six_datasets)
+        target = next(lf for lf in splits[sorted(splits)[0]].eval_set if lf.label is Label.MISCONFIG)
+        seeded, built = [], []
+        original_rng = confval.prompting._target_rng
+        monkeypatch.setattr(
+            confval.prompting, "_target_rng", lambda *args: seeded.append(args) or original_rng(*args)
+        )
 
-    @pytest.mark.parametrize(
-        "strategy", [SelectionStrategy.RANDOM, SelectionStrategy.COSINE_SIMILARITY]
-    )
-    def test_prebuilt_other_pools_choose_the_same_shots(self, six_datasets, monkeypatch, strategy):
-        """Shots and prompt text match a frozen copy of the per-call other_pool."""
+        def building(file, shots, template):
+            built.append(shots)
+            return build_prompt(file, shots, template)
 
-        def rebuilt_other_pool(db, project, label):
-            out = []
-            for name in db.projects():
-                if name != project:
-                    out.extend(db.pool(name, label))
-            return out
+        monkeypatch.setattr(confval.pipeline, "build_prompt", building)
+        settings = PipelineSettings(seed=5, strategy=strategy, combination=ShotCombination(1, 1))
+        backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth_map(splits.values())))
+        verdict = validate_file(target.file, backend, db, settings, target_subcategory=target.bucket)
+        assert verdict.canonical_key == (True, (target.injected.parameter,))
+        key = target.file.content_key()
+        sampled = strategy is not SelectionStrategy.COSINE_SIMILARITY
+        assert seeded == ([(5, key)] if sampled else [])
+        assert built == [reference_select(db, target.file, settings.combination, strategy, 5, target.bucket)]
 
-        splits = {project: split for project, (_, split) in six_datasets.items()}
-        unseen = sorted(splits)[0]
-        databases = [
-            ShotDatabase(shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool),
-            ShotDatabase(
-                shot_from_labeled(lf)
-                for project, split in splits.items()
-                if project != unseen
-                for lf in split.shot_pool
-            ),
-        ]
-
-        def choices():
-            out = []
-            for db in databases:
-                for split in splits.values():
-                    for i, labeled in enumerate(split.eval_set[::4]):
-                        combo = ShotCombination(i % 4, 3 + 5 * (i % 3))
-                        try:
-                            shots = select_shots(
-                                db, labeled.file.project, combo, strategy, random.Random(i),
-                                target=labeled.file,
-                            )
-                        except InsufficientShotsError as exc:
-                            out.append(str(exc))
-                            continue
-                        ids = [(s.source_project, s.labeled.file.content_key()) for s in shots]
-                        out.append((labeled.file.project, ids, build_prompt(labeled.file, shots).text))
-            return out
-
-        prebuilt = choices()
-        monkeypatch.setattr(ShotDatabase, "other_pool", rebuilt_other_pool)
-        assert prebuilt == choices()
+    @pytest.mark.parametrize("strategy", list(SelectionStrategy))
+    def test_prebuilt_other_pools_choose_the_same_shots(self, six_datasets, strategy):
+        """Shots and prompt text match the frozen reference, which rebuilds
+        the other projects' pool per call."""
+        splits, databases = six_splits_and_databases(six_datasets)
+        choices, expected = [], []
+        for db in databases:
+            for split in splits.values():
+                for i, labeled in enumerate(split.eval_set[::4]):
+                    combo = ShotCombination(i % 4, 3 + 5 * (i % 3))
+                    choices.append(choice_or_error(select_shots, db, labeled, combo, strategy, i))
+                    expected.append(choice_or_error(reference_select, db, labeled, combo, strategy, i))
+        assert choices == expected
         # the other projects' pools were drawn from, for the unseen project too
         fallbacks = {
             project
-            for project, ids, _ in (c for c in prebuilt if isinstance(c, tuple))
+            for project, ids, _ in (c for c in choices if isinstance(c, tuple))
             if any(source != project for source, _ in ids)
         }
         assert fallbacks == set(splits)
 
     def test_cosine_ranks_as_per_call_vectors(self, six_datasets):
-        """Indexed ranking picks the shots a frozen copy of the per-call ranking
-        does, same-project pool first, then the other projects'."""
-
-        def per_call_rank(target, pool, count):
-            if count == 0 or not pool:
-                return []
-            docs = [" ".join(shot.labeled.file.names()) for shot in pool]
-            vectors = tfidf_vectors([" ".join(target.names())] + docs)
-            scores = [cosine(vectors[0], vec) for vec in vectors[1:]]
-            order = sorted(range(len(docs)), key=lambda i: (-scores[i], i))
-            return [pool[i] for i in order[:count]]
-
-        def per_call_select(db, project, combo, target):
-            picked = []
-            for label, count in ((Label.VALID, combo.valid_count), (Label.MISCONFIG, combo.misconfig_count)):
-                shots = per_call_rank(target, db.pool(project, label), count)
-                shots += per_call_rank(target, db.other_pool(project, label), count - len(shots))
-                picked += shots
-            return picked
-
-        splits = {project: split for project, (_, split) in six_datasets.items()}
-        db = ShotDatabase(shot_from_labeled(lf) for split in splits.values() for lf in split.shot_pool)
+        """Every strategy picks the shots the frozen reference does, whose
+        cosine ranking builds per-call vectors: same-project pool first, then
+        the other projects'."""
+        splits, (db, _) = six_splits_and_databases(six_datasets)
         assert len(db.pool("tinyreg", Label.MISCONFIG)) == 3
-        reached_fallback = set()
-        for split in splits.values():
-            for labeled in split.eval_set:
-                project = labeled.file.project
-                for combo in (DEFAULT_COMBINATION, ShotCombination(2, 5)):
-                    shots = select_shots(
-                        db, project, combo, SelectionStrategy.COSINE_SIMILARITY,
-                        random.Random(0), target=labeled.file,
-                    )
-                    assert shots == per_call_select(db, project, combo, labeled.file)
-                    reached_fallback |= {project for s in shots if s.source_project != project}
-        assert "tinyreg" in reached_fallback
-        total = sum(len(db.pool(project, Label.MISCONFIG)) for project in db.projects())
-        with pytest.raises(InsufficientShotsError, match=f"requested {total + 1} shots, only {total} available"):
-            select_shots(
-                db, "tinyreg", ShotCombination(0, total + 1), SelectionStrategy.COSINE_SIMILARITY,
-                random.Random(0), target=splits["tinyreg"].eval_set[0].file,
-            )
+        for strategy in SelectionStrategy:
+            reached_fallback = set()
+            for split in splits.values():
+                for labeled in split.eval_set:
+                    project = labeled.file.project
+                    for combo in (DEFAULT_COMBINATION, ShotCombination(2, 5)):
+                        choice = choice_or_error(select_shots, db, labeled, combo, strategy, 3)
+                        assert choice == choice_or_error(reference_select, db, labeled, combo, strategy, 3)
+                        if isinstance(choice, tuple):
+                            reached_fallback |= {project for source, _ in choice[1] if source != project}
+            assert "tinyreg" in reached_fallback
+            total = sum(len(db.pool(project, Label.MISCONFIG)) for project in db.projects())
+            with pytest.raises(InsufficientShotsError, match=f"requested {total + 1} shots, only {total} available"):
+                select_shots(db, splits["tinyreg"].eval_set[0].file, ShotCombination(0, total + 1), strategy)
+
+
+# sha256 over the prompt text, or the InsufficientShotsError message, of every
+# eval file of the six demo corpora, under each strategy and each combination
+# below, with the full shot database and with one that lacks the first project
+SIX_DATASETS_SHOT_CHOICES_SHA256 = "452e72b73f697556d91f24db6d86feeacaaf61e9732a53bba6be724b5cdebd58"
+PINNED_COMBINATIONS = tuple(
+    ShotCombination(v, m) for v, m in ((1, 3), (2, 5), (0, 0), (4, 1), (0, 12), (3, 3))
+)
+
+
+def test_shot_choices_are_pinned(six_datasets):
+    splits, databases = six_splits_and_databases(six_datasets)
+    digest = hashlib.sha256()
+    for db in databases:
+        for strategy in SelectionStrategy:
+            for combo in PINNED_COMBINATIONS:
+                for split in splits.values():
+                    for labeled in split.eval_set:
+                        try:
+                            shots = select_shots(db, labeled.file, combo, strategy, 7, labeled.bucket)
+                            text = build_prompt(labeled.file, shots).text
+                        except InsufficientShotsError as exc:
+                            text = str(exc)
+                        digest.update(text.encode())
+    assert digest.hexdigest() == SIX_DATASETS_SHOT_CHOICES_SHA256
 
 
 class TestBuildPrompt:

@@ -227,8 +227,8 @@ def test_cosine_scores_are_pinned(six_datasets):
         for labeled in split.eval_set:
             terms = term_counts(" ".join(labeled.file.names()))
             for label in Label:
-                for own in (True, False):
-                    _, index = db.ranked_pool(project, label, own)
+                for which in (0, 1):  # the own project's pool, then the others'
+                    index = db.index(project, label, which)
                     digest.update(" ".join(hex_scores(index.cosines(terms))).encode() + b"\n")
     assert digest.hexdigest() == SIX_DATASETS_COSINES_SHA256
 
