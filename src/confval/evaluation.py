@@ -3,8 +3,11 @@
 File-level asks "was the file classified correctly", parameter-level asks
 "was each parameter classified correctly". The parameter universe for one
 file is its own entry set; flagged names that do not exist in the file count
-as false positives on top. Merging is associative and commutative, so results
-can be aggregated incrementally or in parallel and the totals agree.
+as false positives on top. Each file is scored once into a file-level and a
+parameter-level confusion matrix. Every report table groups the files by
+project, sub-category or size bucket and sums each group's matrices cell by
+cell, so no table depends on the order the files were scored in; the macro
+row averages the per-project ratios.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Iterable
 
 from .backend import Backend
 from .errors import ConfvalError, check_schema_version, checked, complete
@@ -31,16 +35,8 @@ class Level(Enum):
     PARAMETER = "parameter"
 
 
-class Cell(Enum):
-    TP = "tp"
-    FP = "fp"
-    TN = "tn"
-    FN = "fn"
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    level: Level
     tp: int = 0
     fp: int = 0
     tn: int = 0
@@ -53,20 +49,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.level is not self.level:
-            raise ValueError("cannot merge matrices of different levels")
-        return ConfusionMatrix(
-            self.level,
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.tn + other.tn,
-            self.fn + other.fn,
-        )
-
-    def bump(self, cell: Cell, count: int = 1) -> "ConfusionMatrix":
-        return self.merge(ConfusionMatrix(self.level, **{cell.value: count}))
 
 
 def precision(cm: ConfusionMatrix) -> float:
@@ -90,17 +72,17 @@ def macro_average(values: list[float]) -> float:
 
 @dataclass(frozen=True)
 class ScoredFile:
-    """One (verdict, truth) pair reduced to confusion cells."""
+    """One (verdict, truth) pair reduced to a file-level and a
+    parameter-level confusion matrix."""
 
     project: str
-    label: Label
     subcategory: object | None
     entry_count: int
-    file_cell: Cell
+    file_cm: ConfusionMatrix
     param_cm: ConfusionMatrix
 
 
-def score_file(verdict: Verdict, truth: LabeledFile) -> tuple[Cell, ConfusionMatrix]:
+def scored_from(verdict: Verdict, truth: LabeledFile) -> ScoredFile:
     """Apply the confusion-matrix definitions to one verdict.
 
     Raises ValueError when the verdict does not belong to the truth file.
@@ -111,66 +93,53 @@ def score_file(verdict: Verdict, truth: LabeledFile) -> tuple[Cell, ConfusionMat
 
     is_misconfig = truth.label is Label.MISCONFIG
     if is_misconfig:
-        file_cell = Cell.TP if verdict.hasError else Cell.FN
+        file_cell = "tp" if verdict.hasError else "fn"
     else:
-        file_cell = Cell.FP if verdict.hasError else Cell.TN
+        file_cell = "fp" if verdict.hasError else "tn"
 
     # a file's names are unique, so each cell is a set of names; a flag
     # outside the file, the injected name included, is a false positive
     flagged = set(verdict.err_parameters)
     names = {e.name for e in truth.file.entries}
     injected = {truth.injected.parameter} & names if is_misconfig else set()
-    param_cm = ConfusionMatrix(
-        Level.PARAMETER,
-        tp=len(flagged & injected),
-        fp=len(flagged - injected),
-        tn=len(names - flagged - injected),
-        fn=len(injected - flagged),
-    )
-    return file_cell, param_cm
-
-
-def scored_from(verdict: Verdict, truth: LabeledFile) -> ScoredFile:
-    file_cell, param_cm = score_file(verdict, truth)
     return ScoredFile(
         project=truth.file.project,
-        label=truth.label,
         subcategory=truth.injected.subcategory if truth.injected else None,
         entry_count=len(truth.file.entries),
-        file_cell=file_cell,
-        param_cm=param_cm,
+        file_cm=ConfusionMatrix(**{file_cell: 1}),
+        param_cm=ConfusionMatrix(
+            tp=len(flagged & injected),
+            fp=len(flagged - injected),
+            tn=len(names - flagged - injected),
+            fn=len(injected - flagged),
+        ),
     )
 
 
-def file_matrix(results: list[ScoredFile]) -> ConfusionMatrix:
-    cm = ConfusionMatrix(Level.FILE)
+def _summed(matrices: Iterable[ConfusionMatrix]) -> ConfusionMatrix:
+    return ConfusionMatrix(*map(sum, zip(*((cm.tp, cm.fp, cm.tn, cm.fn) for cm in matrices))))
+
+
+def _pooled(results: list[ScoredFile], key, order=None) -> dict:
+    """The results grouped under key(result), keys sorted by order, each
+    group mapped to its summed (file-level, parameter-level) matrices; a
+    result keyed None is left out."""
+    groups: dict[object, list[ScoredFile]] = {}
     for r in results:
-        cm = cm.bump(r.file_cell)
-    return cm
-
-
-def parameter_matrix(results: list[ScoredFile]) -> ConfusionMatrix:
-    cm = ConfusionMatrix(Level.PARAMETER)
-    for r in results:
-        cm = cm.merge(r.param_cm)
-    return cm
-
-
-def _pooled_f1(results: list[ScoredFile], label, order=None) -> dict[str, float]:
-    """Parameter-level F1 of the results pooled under label(result), labels
-    sorted by order; a result labelled None is left out."""
-    pooled: dict[str, ConfusionMatrix] = {}
-    for r in results:
-        key = label(r)
-        if key is not None:
-            pooled[key] = pooled.get(key, ConfusionMatrix(Level.PARAMETER)).merge(r.param_cm)
-    return {key: f1(pooled[key]) for key in sorted(pooled, key=order)}
+        group = key(r)
+        if group is not None:
+            groups.setdefault(group, []).append(r)
+    return {
+        group: (_summed(r.file_cm for r in groups[group]), _summed(r.param_cm for r in groups[group]))
+        for group in sorted(groups, key=order)
+    }
 
 
 def micro_f1_by_subcategory(results: list[ScoredFile]) -> dict[str, float]:
     """Pool parameter-level cells of misconfig files across projects per
     sub-category; sub-categories with no samples are simply absent."""
-    return _pooled_f1(results, lambda r: r.subcategory.value if r.subcategory else None)
+    pooled = _pooled(results, lambda r: r.subcategory.value if r.subcategory else None)
+    return {slug: f1(param_cm) for slug, (_, param_cm) in pooled.items()}
 
 
 def bucket_label(count: int, edges: tuple[int, ...]) -> str:
@@ -189,7 +158,8 @@ _BUCKETS = [bucket_label(size, BUCKET_EDGES) for size in BUCKET_EDGES + (BUCKET_
 def bucket_by_param_count(results: list[ScoredFile]) -> dict[str, float]:
     """Parameter-level F1 per file-size bucket of BUCKET_EDGES, smallest
     first; empty buckets are omitted."""
-    return _pooled_f1(results, lambda r: bucket_label(r.entry_count, BUCKET_EDGES), _BUCKETS.index)
+    pooled = _pooled(results, lambda r: bucket_label(r.entry_count, BUCKET_EDGES), _BUCKETS.index)
+    return {bucket: f1(param_cm) for bucket, (_, param_cm) in pooled.items()}
 
 
 # the JSON types of each report key; every key but schema_version and failures
@@ -272,24 +242,20 @@ def _level_metrics(cm: ConfusionMatrix) -> dict[str, float]:
 
 
 def build_report(results: list[ScoredFile], failures: list[dict] = ()) -> MetricsReport:
-    projects = sorted({r.project for r in results})
-    per_project: dict[str, dict[str, dict[str, float]]] = {}
-    for project in projects:
-        own = [r for r in results if r.project == project]
-        per_project[project] = {
-            Level.FILE.value: _level_metrics(file_matrix(own)),
-            Level.PARAMETER.value: _level_metrics(parameter_matrix(own)),
-        }
-    macro: dict[str, dict[str, float]] = {}
-    for level in (Level.FILE, Level.PARAMETER):
-        macro[level.value] = {
-            metric: macro_average(
-                [per_project[p][level.value][metric] for p in projects]
-            )
-            if projects
+    # _pooled gives the file-level matrix, then the parameter-level one
+    per_project = {
+        project: dict(zip(_LEVELS, map(_level_metrics, matrices)))
+        for project, matrices in _pooled(results, lambda r: r.project).items()
+    }
+    macro = {
+        level: {
+            metric: macro_average([levels[level][metric] for levels in per_project.values()])
+            if per_project
             else 0.0
             for metric in _RATIOS
         }
+        for level in _LEVELS
+    }
     return MetricsReport(
         per_project=per_project,
         macro=macro,

@@ -213,21 +213,25 @@ def select_shots(
     other projects' pools together give the rest; InsufficientShotsError when
     both hold too few. RANDOM and SAME_SUBCATEGORY sample a pool that holds
     enough, with a generator seeded by seed and the target's content, so a
-    choice does not depend on evaluation order; SAME_SUBCATEGORY first
-    narrows the misconfig pools to a known target_subcategory, which the
-    other strategies ignore. COSINE_SIMILARITY draws nothing: it takes the
+    choice does not depend on evaluation order. With a known
+    target_subcategory, which the other strategies ignore, SAME_SUBCATEGORY
+    walks four misconfig pools: the own project's and then the other projects'
+    shots of that sub-category, then the own project's and the other
+    projects' other shots. COSINE_SIMILARITY draws nothing: it takes the
     shots whose parameter names are nearest the target's by TF-IDF cosine.
     """
     cosine = strategy is SelectionStrategy.COSINE_SIMILARITY
     terms = term_counts(_names_doc(target)) if cosine else None
     rng = None if cosine else _target_rng(seed, target.content_key())
-    narrow = strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None
+    subcategory_first = strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None
     picked: list[Shot] = []
     for label, count in ((Label.VALID, combo.valid_count), (Label.MISCONFIG, combo.misconfig_count)):
         pools = db.pools(target.project, label)
-        if narrow and label is Label.MISCONFIG:
+        if subcategory_first and label is Label.MISCONFIG:
             pools = [
-                [s for s in pool if s.labeled.injected.subcategory is target_subcategory] for pool in pools
+                [s for s in pool if (s.labeled.injected.subcategory is target_subcategory) is inside]
+                for inside in (True, False)
+                for pool in pools
             ]
         need = count
         for which, pool in enumerate(pools):

@@ -17,29 +17,24 @@ from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
 from confval.constraints import Subcategory
 from confval.errors import BackendError, SpecError
 from confval.evaluation import (
-    Cell,
     ConfusionMatrix,
-    Level,
     MetricsReport,
     bucket_by_param_count,
     bucket_label,
     build_report,
     f1,
-    file_matrix,
     macro_average,
     micro_f1_by_subcategory,
-    parameter_matrix,
     precision,
     recall,
     report_csv_tables,
     run_evaluation,
     run_sweep,
-    score_file,
     scored_from,
 )
 from confval.misconfig_gen import InjectedFault, Label, LabeledFile, build_dataset
 from confval.pipeline import PipelineSettings, Verdict
-from confval.prompting import SelectionStrategy, ShotDatabase, shot_from_labeled
+from confval.prompting import SelectionStrategy, ShotDatabase, shot_db_from, shot_from_labeled
 
 from conftest import Counting, demo_spec_set
 
@@ -67,41 +62,50 @@ def verdict_flagging(flags, truth=None):
     )
 
 
+CELLS = ("tp", "fp", "tn", "fn")
+
+
 class TestScoreFile:
     def test_exact_hit(self):
         truth = labeled_file("p3")
-        cell, params = score_file(verdict_flagging(["p3"], truth), truth)
-        assert cell is Cell.TP
+        scored = scored_from(verdict_flagging(["p3"], truth), truth)
+        assert scored.file_cm == ConfusionMatrix(tp=1)
+        params = scored.param_cm
         assert (params.tp, params.fp, params.tn, params.fn) == (1, 0, 7, 0)
 
     def test_detected_but_mislocalized(self):
         truth = labeled_file("p3")
-        cell, params = score_file(verdict_flagging(["p5"], truth), truth)
-        assert cell is Cell.TP  # file level only asks whether an error was found
+        scored = scored_from(verdict_flagging(["p5"], truth), truth)
+        assert scored.file_cm == ConfusionMatrix(tp=1)  # file level only asks whether an error was found
+        params = scored.param_cm
         assert (params.tp, params.fp, params.tn, params.fn) == (0, 1, 6, 1)
 
     def test_false_alarm_on_valid_file(self):
         truth = labeled_file()
-        cell, params = score_file(verdict_flagging(["p1"], truth), truth)
-        assert cell is Cell.FP
+        scored = scored_from(verdict_flagging(["p1"], truth), truth)
+        assert scored.file_cm == ConfusionMatrix(fp=1)
+        params = scored.param_cm
         assert (params.tp, params.fp, params.tn, params.fn) == (0, 1, 7, 0)
 
     def test_missed_misconfiguration(self):
         truth = labeled_file("p3")
-        cell, params = score_file(verdict_flagging([], truth), truth)
-        assert cell is Cell.FN
+        scored = scored_from(verdict_flagging([], truth), truth)
+        assert scored.file_cm == ConfusionMatrix(fn=1)
+        params = scored.param_cm
         assert (params.tp, params.fp, params.tn, params.fn) == (0, 0, 7, 1)
 
     def test_valid_file_clean_verdict(self):
         truth = labeled_file()
-        cell, params = score_file(verdict_flagging([], truth), truth)
-        assert cell is Cell.TN
+        scored = scored_from(verdict_flagging([], truth), truth)
+        assert scored.file_cm == ConfusionMatrix(tn=1)
+        params = scored.param_cm
         assert (params.tp, params.fp, params.tn, params.fn) == (0, 0, 8, 0)
 
     def test_phantom_parameter_counts_as_fp(self):
         truth = labeled_file("p3")
-        cell, params = score_file(verdict_flagging(["p3", "not.in.file"], truth), truth)
-        assert cell is Cell.TP
+        scored = scored_from(verdict_flagging(["p3", "not.in.file"], truth), truth)
+        assert scored.file_cm == ConfusionMatrix(tp=1)
+        params = scored.param_cm
         assert (params.tp, params.fp, params.tn, params.fn) == (1, 1, 7, 0)
 
     def test_identity_mismatch_rejected(self):
@@ -109,11 +113,11 @@ class TestScoreFile:
         other = labeled_file("p3", project="somewhere-else")
         verdict = verdict_flagging(["p3"], other)
         with pytest.raises(ValueError, match="correspond"):
-            score_file(verdict, truth)
+            scored_from(verdict, truth)
 
     def test_conservation(self):
         truth = labeled_file("p3")
-        _, params = score_file(verdict_flagging(["p3", "ghost"], truth), truth)
+        params = scored_from(verdict_flagging(["p3", "ghost"], truth), truth).param_cm
         assert params.total == len(truth.file.entries) + 1  # entries plus the phantom
 
     @pytest.mark.parametrize(
@@ -140,45 +144,46 @@ class TestScoreFile:
         if injected in names or injected is None:
             truth = labeled_file(injected, names)
         else:
-            # LabeledFile refuses such a fault, so score_file sees it only
+            # LabeledFile refuses such a fault, so scored_from sees it only
             # through a stand-in; it must still not count a cell for it
             file = labeled_file(None, names).file
             fault = InjectedFault(injected, Subcategory.RANGE_PORT, "too large")
             truth = SimpleNamespace(file=file, label=Label.MISCONFIG, injected=fault)
         verdict = verdict_flagging(flags, truth)
-        cell, params = score_file(verdict, truth)
+        scored = scored_from(verdict, truth)
+        params = scored.param_cm
         assert (params.tp, params.fp, params.tn, params.fn) == expected
         assert (params.tp, params.fp, params.tn, params.fn) == per_entry_cells(verdict, truth)
         if injected is None:
-            assert cell is (Cell.FP if flags else Cell.TN)
+            assert scored.file_cm == ConfusionMatrix(**{"fp" if flags else "tn": 1})
         else:
-            assert cell is (Cell.TP if flags else Cell.FN)
+            assert scored.file_cm == ConfusionMatrix(**{"tp" if flags else "fn": 1})
 
 
 def per_entry_cells(verdict, truth):
-    """score_file's parameter cells counted entry by entry, as it once did:
+    """scored_from's parameter cells counted entry by entry, as it once did:
     (tp, fp, tn, fn)."""
     flagged = set(verdict.err_parameters)
     injected = truth.injected.parameter if truth.label is Label.MISCONFIG else None
-    counts = {cell: 0 for cell in Cell}
+    counts = dict.fromkeys(CELLS, 0)
     for entry in truth.file.entries:
         if entry.name == injected:
-            counts[Cell.TP if entry.name in flagged else Cell.FN] += 1
+            counts["tp" if entry.name in flagged else "fn"] += 1
         else:
-            counts[Cell.FP if entry.name in flagged else Cell.TN] += 1
-    counts[Cell.FP] += len(flagged - {e.name for e in truth.file.entries})
-    return counts[Cell.TP], counts[Cell.FP], counts[Cell.TN], counts[Cell.FN]
+            counts["fp" if entry.name in flagged else "tn"] += 1
+    counts["fp"] += len(flagged - {e.name for e in truth.file.entries})
+    return counts["tp"], counts["fp"], counts["tn"], counts["fn"]
 
 
 class TestMetricFormulas:
     def test_worked_example(self):
-        cm = ConfusionMatrix(Level.FILE, tp=3, fp=1, tn=0, fn=1)
+        cm = ConfusionMatrix(tp=3, fp=1, tn=0, fn=1)
         assert precision(cm) == 0.75
         assert recall(cm) == 0.75
         assert f1(cm) == 0.75
 
     def test_zero_denominators_yield_zero(self):
-        cm = ConfusionMatrix(Level.FILE)
+        cm = ConfusionMatrix()
         assert precision(cm) == 0.0
         assert recall(cm) == 0.0
         assert f1(cm) == 0.0
@@ -187,7 +192,6 @@ class TestMetricFormulas:
         rng = random.Random(4)
         for _ in range(300):
             cm = ConfusionMatrix(
-                Level.PARAMETER,
                 tp=rng.randint(0, 20),
                 fp=rng.randint(0, 20),
                 tn=rng.randint(0, 20),
@@ -221,11 +225,13 @@ class TestAggregation:
         rng = random.Random(seed)
         out = []
         for i in range(40):
-            project = rng.choice(["alpha", "beta"])
+            project = rng.choice(["alpha", "beta", "gamma"])
+            # one size in each of three buckets
+            names = tuple(f"p{n}" for n in range(rng.choice((3, 8, 40))))
             if rng.random() < 0.5:
-                truth = labeled_file(f"p{rng.randrange(8)}", project=project)
+                truth = labeled_file(f"p{rng.randrange(3)}", names, project=project)
             else:
-                truth = labeled_file(project=project)
+                truth = labeled_file(names=names, project=project)
             flags = []
             if rng.random() < 0.7 and truth.injected:
                 flags.append(truth.injected.parameter)
@@ -236,14 +242,25 @@ class TestAggregation:
 
     def test_incremental_equals_batch(self):
         results = self._scored()
-        incremental = ConfusionMatrix(Level.PARAMETER)
-        for r in results:
-            incremental = incremental.merge(r.param_cm)
-        assert incremental == parameter_matrix(results)
-        by_cell = ConfusionMatrix(Level.FILE)
-        for r in results:
-            by_cell = by_cell.bump(r.file_cell)
-        assert by_cell == file_matrix(results)
+        report = build_report(results)
+        assert list(report.per_project) == sorted({r.project for r in results})
+        for project, levels in report.per_project.items():
+            for level, matrix in (("file", "file_cm"), ("parameter", "param_cm")):
+                incremental = dict.fromkeys(CELLS, 0)
+                for r in results:
+                    if r.project == project:
+                        for cell in CELLS:
+                            incremental[cell] += getattr(getattr(r, matrix), cell)
+                assert {cell: levels[level][cell] for cell in CELLS} == incremental
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**16), st.randoms(use_true_random=False))
+    def test_report_ignores_file_order(self, seed, rng):
+        """Every table, and the order of its rows, is the same for the scored
+        files in any order."""
+        results = self._scored(seed)
+        shuffled = rng.sample(results, len(results))
+        assert json.dumps(build_report(shuffled).to_dict()) == json.dumps(build_report(results).to_dict())
 
     def test_micro_pools_before_dividing(self):
         skew_hit = labeled_file("p0", project="alpha")
@@ -253,7 +270,8 @@ class TestAggregation:
             scored_from(verdict_flagging([], skew_miss), skew_miss),
         ]
         micro = micro_f1_by_subcategory(results)
-        pooled = parameter_matrix(results)
+        hit, miss = (r.param_cm for r in results)
+        pooled = ConfusionMatrix(*(getattr(hit, cell) + getattr(miss, cell) for cell in CELLS))
         assert micro[Subcategory.RANGE_PORT.value] == pytest.approx(f1(pooled))
         per_project_mean = (1.0 + 0.0) / 2
         assert micro[Subcategory.RANGE_PORT.value] != per_project_mean
@@ -439,6 +457,45 @@ class TestRunEvaluation:
         assert set(reports) == {
             f"{v}v{m}m" for n in range(6) for v, m in [(n - k, k) for k in range(n + 1)]
         }
+
+
+# sha256 of run_evaluation's report JSON (sorted keys), then of its CSV tables
+# in table-name order, over the six demo corpora with the 0.5-noise mock; its
+# macro ratios are not 1.0, so a changed count, pooling or order shows
+REPORT_DIGESTS = {
+    SelectionStrategy.RANDOM: "f2598a0aaeffc1a400c9194430939e6b9074e756bee34c6e3a37d5e2b9e6c31e",
+    SelectionStrategy.COSINE_SIMILARITY: "17f2375ce955000a9f8d34fc4a8a34b2d4d83c9e5043aef7d792aee1ca7ba283",
+}
+
+
+def noisy_six_evaluation(six_datasets, strategy, jobs):
+    splits = {project: split for project, (_, split) in six_datasets.items()}
+    truth = truth_map(splits.values())
+    script = MockScript(MockBehavior.NOISE_WITH_RATE, truth=truth, noise_rate=0.5, seed=5)
+    backend = MockBackend(script, BackendConfig(max_parallel=4))
+    settings = PipelineSettings(seed=11, strategy=strategy)
+    return run_evaluation(splits, backend, shot_db_from(splits.values()), settings, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("strategy", list(REPORT_DIGESTS))
+def test_reports_are_pinned(six_datasets, strategy, jobs):
+    report = noisy_six_evaluation(six_datasets, strategy, jobs)
+    assert report.macro["file"]["f1"] < 0.95
+    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+    tables = report_csv_tables(report)
+    for name in sorted(tables):
+        digest.update(tables[name].encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[strategy]
+
+
+def test_same_subcategory_scores_every_file(six_datasets):
+    """No project's shot pool holds a misconfig shot of every sub-category,
+    so at 1v3 the other misconfig shots fill in and no file fails."""
+    report = noisy_six_evaluation(six_datasets, SelectionStrategy.SAME_SUBCATEGORY, 2)
+    assert report.failures == ()
+    eval_files = sum(len(split.eval_set) for _, split in six_datasets.values())
+    assert report.files_scored == eval_files == 586
 
 
 # --- concurrency as a property ---

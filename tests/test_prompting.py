@@ -148,14 +148,31 @@ def reference_select(db, target, combo, strategy, seed=0, target_subcategory=Non
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     mis_primary = db.pool(project, Label.MISCONFIG)
     mis_fallback = reference_other_pool(db, project, Label.MISCONFIG)
-    if strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None:
-        mis_primary = [s for s in mis_primary if s.labeled.injected.subcategory is target_subcategory]
-        mis_fallback = [s for s in mis_fallback if s.labeled.injected.subcategory is target_subcategory]
     valid = reference_take(
         db.pool(project, Label.VALID), reference_other_pool(db, project, Label.VALID),
         combo.valid_count, rng,
     )
+    if strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None:
+        count = combo.misconfig_count
+        return valid + reference_take_subcategory(mis_primary, mis_fallback, target_subcategory, count, rng)
     return valid + reference_take(mis_primary, mis_fallback, combo.misconfig_count, rng)
+
+
+def reference_take_subcategory(primary, fallback, subcategory, count, rng):
+    """reference_take over the shots of the sub-category; what they lack comes
+    from reference_take over the other shots, again own project first."""
+    own_in = [s for s in primary if s.labeled.injected.subcategory is subcategory]
+    other_in = [s for s in fallback if s.labeled.injected.subcategory is subcategory]
+    own_out = [s for s in primary if s.labeled.injected.subcategory is not subcategory]
+    other_out = [s for s in fallback if s.labeled.injected.subcategory is not subcategory]
+    taken = own_in + other_in
+    if len(taken) >= count:
+        return reference_take(own_in, other_in, count, rng)
+    try:
+        return taken + reference_take(own_out, other_out, count - len(taken), rng)
+    except InsufficientShotsError:
+        available = len(primary) + len(fallback)
+        raise InsufficientShotsError(f"requested {count} shots, only {available} available") from None
 
 
 def six_splits_and_databases(six_datasets):
@@ -239,6 +256,24 @@ class TestSelectShots:
         )
         assert len(shots) == 3
         assert all(s.source_project == "other" for s in shots)
+
+    def test_same_subcategory_fills_from_the_other_shots(self):
+        """The four other-project shots of the sub-category come first; the
+        shortfall comes from the rest, own project first."""
+        db = make_db()
+
+        def select(count):
+            return select_shots(
+                db, small_file(), ShotCombination(0, count), SelectionStrategy.SAME_SUBCATEGORY,
+                target_subcategory=Subcategory.SYNTAX_PATH,
+            )
+
+        shots = select(6)
+        assert [(s.source_project, s.labeled.injected.subcategory) for s in shots] == [
+            ("other", Subcategory.SYNTAX_PATH)
+        ] * 4 + [("demo", Subcategory.RANGE_PORT)] * 2
+        with pytest.raises(InsufficientShotsError, match="requested 9 shots, only 8 available"):
+            select(9)
 
     def test_cosine_prefers_overlapping_parameters(self):
         db = make_db()
@@ -337,7 +372,7 @@ class TestSelectShots:
 # sha256 over the prompt text, or the InsufficientShotsError message, of every
 # eval file of the six demo corpora, under each strategy and each combination
 # below, with the full shot database and with one that lacks the first project
-SIX_DATASETS_SHOT_CHOICES_SHA256 = "452e72b73f697556d91f24db6d86feeacaaf61e9732a53bba6be724b5cdebd58"
+SIX_DATASETS_SHOT_CHOICES_SHA256 = "7b392226d618931fe885f49730b0aa5563df6132099d13ee16f8e3b769073b33"
 PINNED_COMBINATIONS = tuple(
     ShotCombination(v, m) for v, m in ((1, 3), (2, 5), (0, 0), (4, 1), (0, 12), (3, 3))
 )
