@@ -8,11 +8,11 @@ interleaving because every response is a pure function of
 (seed, prompt fingerprint, per-prompt call index). The fingerprint is hashed
 once per prompt (Prompt.fingerprint), not once per query.
 
-Concurrency has one owner: each backend object gets one request pool that
-starts threads on demand, up to config.max_parallel, and runs the drain tasks
-of every caller's batch first in, first out; each batch waits on one
-completion signal. max_parallel thus caps requests in flight across all
-`evaluate --jobs` workers; --jobs only overlaps files.
+Concurrency has one owner: each backend gets one request pool, and every
+request holds one of its config.max_parallel permits, so the cap holds across
+all `evaluate --jobs` workers. While requests wait (wall minus CPU time > CPU
+time), pool threads run each batch's drain tasks first in, first out; else
+the caller asks the slots itself, as threads cannot overlap GIL-bound work.
 
 `requests` is imported only by HttpBackend, so offline runs never load it.
 """
@@ -99,27 +99,45 @@ class _Batch:
         self.lock, self.done = threading.Lock(), threading.Lock()
         self.done.acquire()  # held until the batch is over; the caller blocks on it
 
-    def drain(self) -> BaseException | None:  # issues slots until none is left or one raises
-        while True:
+    def drain(self, pool: _RequestPool, ask: Callable[[Backend, Prompt], str]) -> BaseException | None:
+        while True:  # issues slots until none is left or one raises
             with self.lock:
                 slot, self.next_slot = self.next_slot, self.next_slot + 1
             if slot >= len(self.results):
                 return None
+            permit = pool.permits.get()  # held by every request in flight
             try:
-                self.results[slot] = query(self.backend, self.prompt)
+                self.results[slot] = ask(self.backend, self.prompt)
             except BackendError as exc:
                 self.results[slot] = exc
-            except BaseException as exc:  # handed to the caller; the pool thread lives on
+            except BaseException as exc:  # handed to the caller; the thread lives on
                 return exc
+            finally:
+                pool.permits.put(permit)
 
 
 class _RequestPool:
-    """Up to max_parallel daemon threads serving one FIFO queue of drain tasks."""
+    """max_parallel permits, and up to max_parallel daemon threads serving one FIFO queue of drain tasks."""
 
     def __init__(self, max_parallel: int):
         self.max_parallel, self.closed = max_parallel, False
         self.tasks, self.lock, self.threads = queue.SimpleQueue(), threading.Lock(), []
         self.backlog = 0  # tasks queued minus threads waiting; a thread starts only while > 0
+        self.permits = queue.SimpleQueue()  # C-level, unlike threading.Semaphore
+        for permit in range(max_parallel):
+            self.permits.put(permit)
+        self.waits = True  # did the last measured request wait? A first batch goes to the threads
+
+    def note(self, wall: float, cpu: float) -> None:  # requests begun at (perf_counter, thread_time)
+        cpu = time.thread_time() - cpu
+        self.waits = time.perf_counter() - wall - cpu > cpu
+
+    def timed_query(self, backend: Backend, prompt: Prompt) -> str:  # a pool thread's request
+        wall, cpu = time.perf_counter(), time.thread_time()
+        try:
+            return query(backend, prompt)
+        finally:
+            self.note(wall, cpu)
 
     def submit(self, batch: _Batch, drains: int) -> None:
         with self.lock:
@@ -136,7 +154,7 @@ class _RequestPool:
 
     def _serve(self) -> None:
         while (batch := self.tasks.get()) is not None:
-            error = batch.drain()
+            error = batch.drain(self, self.timed_query)
             with self.lock:
                 self.backlog -= 1  # waiting again before the caller is signalled and submits more
             with batch.lock:
@@ -168,18 +186,25 @@ def _request_pool(backend: Backend) -> _RequestPool:
 def query_batch(backend: Backend, prompt: Prompt, count: int) -> list[str | BackendError]:
     """count completions through the backend's shared request pool; slot order kept.
 
-    The batch queues min(count, max_parallel) drain tasks, which the pool runs first
-    in, first out on threads it starts on demand up to max_parallel. The caller blocks
-    on the batch's one completion signal, given when the last drain task finishes. A
-    failed slot holds its BackendError; callers decide how to treat partial failure.
-    Any other exception gives the signal at once and reaches the caller; no further
-    slot is issued, though slots already in flight run to completion.
+    Every request holds one of the pool's max_parallel permits. If the last request
+    measured waited (blocked longer than it ran), as is assumed for a first batch, the
+    batch queues min(count, max_parallel) drain tasks for the pool's threads, first in,
+    first out, and blocks until the last one finishes. Otherwise the caller asks the
+    slots itself and times them for the next batch. A failed slot holds its
+    BackendError; callers decide how to treat partial failure. Any other exception
+    reaches the caller at once; no further slot is issued, though slots already in
+    flight on pool threads run to completion.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    batch = _Batch(backend, prompt, count)
-    _request_pool(backend).submit(batch, batch.pending)
-    batch.done.acquire()
+    pool, batch = _request_pool(backend), _Batch(backend, prompt, count)
+    if pool.waits:
+        pool.submit(batch, batch.pending)
+        batch.done.acquire()
+    else:
+        wall, cpu = time.perf_counter(), time.thread_time()
+        batch.error = batch.drain(pool, query)
+        pool.note(wall, cpu)
     if batch.error is not None:
         raise batch.error
     return batch.results

@@ -22,6 +22,7 @@ from confval.backend import (
     MockBehavior,
     MockScript,
     _request_pool,
+    _RequestPool,
     prompt_fingerprint,
     query,
     query_batch,
@@ -76,6 +77,11 @@ def within_deadline(fn, seconds=10.0):
     if "error" in outcome:
         raise outcome["error"]
     return outcome["value"]
+
+
+# A backend whose requests wait (sleep) is always served by the pool's threads;
+# an instant one is asked on the caller's thread from its second batch on.
+WAIT = 0.0005
 
 
 class TestBackendConfig:
@@ -263,7 +269,9 @@ class TestMockBackend:
     def test_request_threads_end_with_backend(self):
         gc.collect()
         before = set(threading.enumerate())
-        backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=3))
+        backend = Counting(
+            MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=3)), WAIT
+        )
         assert len(query_batch(backend, build_prompt(target_file(), []), 6)) == 6
         assert set(threading.enumerate()) - before
         del backend
@@ -305,7 +313,9 @@ class TestMockBackend:
     def test_threads_start_on_demand(self):
         gc.collect()
         before = set(threading.enumerate())
-        backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=64))
+        backend = Counting(
+            MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=64)), WAIT
+        )
         prompt = build_prompt(target_file(), [])
         assert len(query_batch(backend, prompt, 6)) == 6
         started = [t for t in set(threading.enumerate()) - before if t.name.startswith("confval-request")]
@@ -403,6 +413,7 @@ class TestMockBackend:
                 with self.lock:
                     self.calls += 1
                     call = self.calls
+                time.sleep(WAIT)
                 if call == 4:
                     raise RuntimeError("backend bug")
                 return "{}"
@@ -451,7 +462,9 @@ class TestMockBackend:
         assert backend.calls == 2
 
     def test_pool_counts_hold_under_contention(self):
-        backend = Counting(MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=3)))
+        backend = Counting(
+            MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=3)), WAIT
+        )
         prompt = build_prompt(target_file(), [])
         sizes = [1 + (i * 5) % 7 for i in range(20)]
         failures = []
@@ -490,9 +503,104 @@ class TestMockBackend:
         assert result.stdout.strip() == "False"
 
     def test_batch_single(self):
-        backend = MockBackend(MockScript(MockBehavior.ALWAYS_VALID))
+        backend = Counting(MockBackend(MockScript(MockBehavior.ALWAYS_VALID)), WAIT)
         results = query_batch(backend, build_prompt(target_file(), []), 1)
         assert len(results) == 1
+
+
+class Switching(Backend):
+    """Records the thread of every request; sleeps while slow, raises while failing."""
+
+    def __init__(self, max_parallel=1):
+        self.config = BackendConfig(max_parallel=max_parallel)
+        self.slow = self.failing = False
+        self.threads = []
+
+    def query(self, prompt):
+        self.threads.append(threading.current_thread().name)
+        if self.slow:
+            time.sleep(0.002)
+        if self.failing:
+            raise RuntimeError("backend bug")
+        return "{}"
+
+
+class TestWaveDispatch:
+    """A batch goes to the pool's threads while the last request measured
+    waited, and is asked on the caller's thread otherwise."""
+
+    def batch(self, backend, monkeypatch, count=3):
+        """(pool.waits before the batch, threads that served it, drain tasks it queued)."""
+        pool, seen, queued = _request_pool(backend), len(backend.threads), []
+        submit = _RequestPool.submit
+
+        def counted(pool, batch, drains):
+            queued.append(drains)
+            submit(pool, batch, drains)
+
+        prompt = build_prompt(target_file(), [])
+        with monkeypatch.context() as patch:
+            patch.setattr(_RequestPool, "submit", counted)
+            waits = pool.waits
+            assert within_deadline(lambda: query_batch(backend, prompt, count)) == ["{}"] * count
+        return waits, set(backend.threads[seen:]), sum(queued)
+
+    def test_instant_backend_answers_on_the_callers_thread(self, monkeypatch):
+        backend = Switching(max_parallel=2)
+        waits, threads, queued = self.batch(backend, monkeypatch)
+        assert waits and queued == 2 and all(t.startswith("confval-request_") for t in threads)
+        inline = 0
+        for _ in range(50):
+            waits, threads, queued = self.batch(backend, monkeypatch)
+            pooled = all(t.startswith("confval-request_") for t in threads)
+            # the rule itself, batch by batch: waited -> drain tasks on pool threads, else none
+            assert (queued == 2 and pooled) if waits else (queued == 0 and len(threads) == 1 and not pooled)
+            inline += not waits
+        # an instant request seldom looks as if it waited (the host may preempt it)
+        assert inline >= 45
+
+    def test_waiting_backend_is_served_only_by_pool_threads(self, monkeypatch):
+        backend = Switching(max_parallel=2)
+        backend.slow = True
+        for count in (1, 3, 5, 2, 4, 1):
+            waits, threads, queued = self.batch(backend, monkeypatch, count)
+            assert waits and queued == min(count, 2)
+            assert threads and all(t.startswith("confval-request_") for t in threads)
+        assert _request_pool(backend).waits
+
+    def test_backend_that_turns_slow_goes_back_to_the_pool(self, monkeypatch):
+        backend = Switching()
+        pool = _request_pool(backend)
+        self.batch(backend, monkeypatch)
+        assert wait_until(lambda: self.batch(backend, monkeypatch)[2] == 0, seconds=5)
+        backend.slow = True
+        self.batch(backend, monkeypatch)  # its first slow request, on whichever thread
+        assert pool.waits
+        for _ in range(3):
+            waits, threads, queued = self.batch(backend, monkeypatch)
+            assert waits and queued == 1 and threads == {"confval-request_0"}
+        backend.slow = False
+        waits, threads, queued = self.batch(backend, monkeypatch)
+        assert waits and queued == 1  # the flag is the last slow request's
+        assert wait_until(lambda: self.batch(backend, monkeypatch)[2] == 0, seconds=5)
+        assert not any(t.startswith("confval-request_") for t in backend.threads[-3:])
+
+    def test_inline_foreign_error_returns_its_permit(self, monkeypatch):
+        backend = Switching(max_parallel=1)
+        pool = _request_pool(backend)
+        self.batch(backend, monkeypatch)
+        # an inline batch after which the flag still reads "does not wait", so the next is inline too
+        assert wait_until(lambda: not self.batch(backend, monkeypatch)[0] and not pool.waits, seconds=5)
+        backend.failing = True
+        seen = len(backend.threads)
+        with pytest.raises(RuntimeError, match="backend bug"):
+            query_batch(backend, build_prompt(target_file(), []), 4)
+        # no further slot was asked, and on this thread
+        assert backend.threads[seen:] == [threading.current_thread().name]
+        assert pool.permits.qsize() == 1
+        backend.failing = False
+        # the one permit is back: the next batch, inline or pooled, completes
+        assert within_deadline(lambda: query_batch(backend, build_prompt(target_file(), []), 3)) == ["{}"] * 3
 
 
 class _StubResponse:

@@ -7,7 +7,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import confval.evaluation
@@ -558,6 +558,16 @@ def evaluate_recorded(splits, shot_db, backend, pipeline_settings, jobs):
 
 class TestConcurrencyProperty:
     @settings(max_examples=20, deadline=None)
+    # instant requests after a backend's first wave are asked on the file workers'
+    # own threads, so several callers share the permits there
+    @example(
+        jobs=4, max_parallel=1, behavior=MockBehavior.NOISE_WITH_RATE, noise_rate=0.5,
+        delay=0.0, salt=7, fault_rate=0.1, seed=1,
+    )
+    @example(
+        jobs=4, max_parallel=2, behavior=MockBehavior.NOISE_WITH_RATE, noise_rate=0.2,
+        delay=0.0, salt=11, fault_rate=0.3, seed=2,
+    )
     @given(
         jobs=st.integers(1, 4),
         max_parallel=st.integers(1, 4),
