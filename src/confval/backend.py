@@ -19,7 +19,6 @@ the caller asks the slots itself, as threads cannot overlap GIL-bound work.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import queue
 import random
@@ -31,8 +30,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import BackendError
-from .misconfig_gen import DatasetSplit
-from .prompting import Prompt, labeled_answer, prompt_fingerprint  # noqa: F401  (re-exported)
+from .prompting import Prompt, derived_rng, labeled_answer, prompt_fingerprint  # noqa: F401  (re-exported)
 from .responses import misconfig_answer, valid_answer
 
 if TYPE_CHECKING:
@@ -105,7 +103,10 @@ class _Batch:
                 slot, self.next_slot = self.next_slot, self.next_slot + 1
             if slot >= len(self.results):
                 return None
-            permit = pool.permits.get()  # held by every request in flight
+            try:  # a permit is held by every request in flight
+                permit = pool.permits.get_nowait()
+            except queue.Empty:
+                permit = pool.mint_or_wait()
             try:
                 self.results[slot] = ask(self.backend, self.prompt)
             except BackendError as exc:
@@ -117,16 +118,23 @@ class _Batch:
 
 
 class _RequestPool:
-    """max_parallel permits, and up to max_parallel daemon threads serving one FIFO queue of drain tasks."""
+    """Up to max_parallel permits and daemon threads, both made on first need, and one FIFO queue of drain tasks."""
 
     def __init__(self, max_parallel: int):
         self.max_parallel, self.closed = max_parallel, False
         self.tasks, self.lock, self.threads = queue.SimpleQueue(), threading.Lock(), []
         self.backlog = 0  # tasks queued minus threads waiting; a thread starts only while > 0
-        self.permits = queue.SimpleQueue()  # C-level, unlike threading.Semaphore
-        for permit in range(max_parallel):
-            self.permits.put(permit)
+        self.permits = queue.SimpleQueue()  # the free permits; C-level, unlike threading.Semaphore
+        self.minted = 0  # permits made so far
         self.waits = True  # did the last measured request wait? A first batch goes to the threads
+
+    def mint_or_wait(self) -> int:
+        """A new permit while fewer than max_parallel exist, else the next one freed."""
+        with self.lock:
+            if self.minted < self.max_parallel:
+                self.minted += 1
+                return self.minted
+        return self.permits.get()
 
     def note(self, wall: float, cpu: float) -> None:  # requests begun at (perf_counter, thread_time)
         cpu = time.thread_time() - cpu
@@ -242,16 +250,13 @@ class MockScript:
 
 
 def truth_map(splits) -> dict[str, str]:
-    """content_key -> ground-truth answer JSON, for echoing mocks.
-
-    Accepts any iterable of LabeledFile or of DatasetSplit objects.
-    """
-    out: dict[str, str] = {}
-    for item in splits:
-        files = item.shot_pool + item.eval_set if isinstance(item, DatasetSplit) else (item,)
-        for labeled in files:
-            out[labeled.file.content_key()] = labeled_answer(labeled).to_json()
-    return out
+    """content_key -> ground-truth answer JSON over every file of the given
+    corpora (DatasetSplit objects), for echoing mocks."""
+    return {
+        labeled.file.content_key(): labeled_answer(labeled).to_json()
+        for split in splits
+        for labeled in split.shot_pool + split.eval_set
+    }
 
 
 class MockBackend(Backend):
@@ -284,18 +289,13 @@ class MockBackend(Backend):
         if behavior is MockBehavior.ECHO_GROUND_TRUTH:
             return truth
         # NOISE_WITH_RATE: corruption is a pure function of (seed, prompt, index)
-        rng = _derived_rng(self.script.seed, fingerprint, index)
+        rng = derived_rng(self.script.seed, fingerprint, index)
         if rng.random() >= self.script.noise_rate:
             return truth
         if rng.random() < 0.5 or not prompt.target.entries:  # nothing to flag
             return VALID_ANSWER_JSON
         flagged = rng.choice(prompt.target.names())
         return misconfig_answer(flagged, f"value of {flagged} looks wrong").to_json()
-
-
-def _derived_rng(seed: int, fingerprint: str, index: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{fingerprint}:{index}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 # --- HTTP chat-completion backend ---

@@ -66,7 +66,7 @@ _TOP_KEYS = {
     **_BACKEND_KEYS,
 }
 _SHOTS_KEYS = {"valid": (int,), "misconfig": (int,)}
-_MOCK_KEYS = {"behavior": (str,), "noise_rate": _NUMBER, "seed": (int, type(None)), "truth_from": _PATH}
+_MOCK_KEYS = {"behavior": (str,), "noise_rate": _NUMBER}
 # a sweep document: one report per shot combination, keyed by its label
 _SWEEP_KEYS = {"schema_version": (int,), "sweep": (dict,)}
 _DEFAULT_MOCK = MockScript(noise_rate=0.2)
@@ -78,7 +78,8 @@ class FrameworkConfig:
 
     Secrets never live in the file; only the name of the environment variable
     holding the API key does. The mock script holds the mock behavior and
-    noise rate; its truth and seed are filled in when the backend is built.
+    noise rate; the mock echoes the corpus the run reads and draws its noise
+    from the run's seed, both filled in when the backend is built.
     """
 
     backend: str = "mock"
@@ -86,8 +87,6 @@ class FrameworkConfig:
     settings: PipelineSettings = PipelineSettings()
     shot_db: str | None = None
     mock: MockScript = _DEFAULT_MOCK
-    mock_seed: int | None = None
-    mock_truth_from: str | None = None
 
     def __post_init__(self):
         if self.backend not in ("mock", "http"):
@@ -128,8 +127,6 @@ class FrameworkConfig:
                     MockBehavior(mock.get("behavior", _DEFAULT_MOCK.behavior.value)),
                     noise_rate=mock.get("noise_rate", _DEFAULT_MOCK.noise_rate),
                 ),
-                mock_seed=mock.get("seed"),
-                mock_truth_from=mock.get("truth_from"),
             )
         except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid framework config: {exc}") from exc
@@ -140,18 +137,18 @@ def _set_up(
 ) -> tuple[PipelineSettings, Backend, ShotDatabase, dict[str, DatasetSplit]]:
     """What validate and evaluate run with: the settings (the seed replaced when
     one is given), the backend, the shot database and the corpus at dataset,
-    which is read first and stands in for the mock's truth and the shot database
-    when the config names neither. Each corpus root is read once."""
+    which is read first. A mock echoes the corpus at dataset, else at the
+    config's shot_db, and seeds its noise with the settings' seed; the shot
+    database comes from shot_db, else from dataset. Each corpus root is read once."""
     load = functools.cache(load_corpus)
     datasets = load(Path(dataset)) if dataset else {}
     settings = cfg.settings if seed is None else replace(cfg.settings, seed=seed)
     if cfg.backend == "http":
         backend: Backend = HttpBackend(cfg.backend_config)
     else:
-        source = dataset or cfg.mock_truth_from or cfg.shot_db
+        source = dataset or cfg.shot_db
         truth = truth_map(load(Path(source)).values()) if source else {}
-        mock_seed = settings.seed if cfg.mock_seed is None else cfg.mock_seed
-        backend = MockBackend(replace(cfg.mock, truth=truth, seed=mock_seed), cfg.backend_config)
+        backend = MockBackend(replace(cfg.mock, truth=truth, seed=settings.seed), cfg.backend_config)
     source = cfg.shot_db or dataset
     shot_db = shot_db_from(load(Path(source)).values()) if source else ShotDatabase([])
     return settings, backend, shot_db, datasets

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -239,19 +239,16 @@ class ParameterSpec:
     """The correctness spec of one parameter."""
 
     name: str
-    project: str
     kind: ValueKind
     numeric_range: tuple[float, float] | None = None
     default_value: str | None = None
     options: tuple[str, ...] = ()
     units: tuple[str, ...] = ()
     description: str | None = None
-    dependencies: tuple[DependencyConstraint, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "options", tuple(self.options))
         object.__setattr__(self, "units", tuple(self.units))
-        object.__setattr__(self, "dependencies", tuple(self.dependencies))
         if self.kind is ValueKind.ENUM and not self.options:
             raise ValueError(f"{self.name}: enum kind requires options")
         if self.kind is ValueKind.NUMBER_WITH_UNIT and not self.units:
@@ -338,15 +335,13 @@ def build_spec_set(
     dependencies: list[DependencyConstraint] = (),
     version_changes: list[VersionChange] = (),
 ) -> SpecSet:
-    """Assemble a SpecSet, attaching each constraint to both its parameters."""
+    """Assemble a SpecSet, refusing a duplicate parameter and a constraint on an
+    unknown one. The SpecSet alone holds the project and the constraints."""
     dependencies = tuple(dependencies)
     by_name: dict[str, ParameterSpec] = {}
     for spec in parameters:
         if spec.name in by_name:
             raise SpecError(f"duplicate parameter spec: {spec.name}")
-        involved = tuple(c for c in dependencies if spec.name in (c.p1, c.p2))
-        if spec.project != project or spec.dependencies != involved:
-            spec = replace(spec, project=project, dependencies=involved)
         by_name[spec.name] = spec
     for c in dependencies:
         for p in (c.p1, c.p2):
@@ -365,11 +360,11 @@ def build_spec_set(
 # --- sub-category assignment ---
 
 
-def assign_subcategories(spec: ParameterSpec) -> frozenset[Subcategory]:
-    """Every sub-category whose specification this parameter satisfies."""
+def assign_subcategories(spec: ParameterSpec, dependencies=()) -> frozenset[Subcategory]:
+    """Every sub-category whose specification this parameter satisfies, given the project's constraints."""
     rule = spec.rule
     out = {sc for sc in (rule.syntax, rule.range) if sc is not None}
-    out.update(c.subcategory for c in spec.dependencies if c.carrier == spec.name)
+    out.update(c.subcategory for c in dependencies if c.carrier == spec.name)
     return frozenset(out)
 
 
@@ -625,20 +620,17 @@ def spec_set_from_dict(doc: dict) -> SpecSet:
         ]
         params = []
         for item in doc["parameters"]:
-            name = item["name"]
-            ConfigEntry(name, "")  # a name a configuration file can hold
+            ConfigEntry(item["name"], "")  # a name a configuration file can hold
             rng = item.get("range")
             params.append(
-                ParameterSpec(  # built as build_spec_set keeps it, so it is built once
-                    name=name,
-                    project=project,
+                ParameterSpec(
+                    name=item["name"],
                     kind=ValueKind(item["kind"]),
                     numeric_range=tuple(rng) if rng is not None else None,
                     default_value=item.get("default"),
                     options=tuple(item.get("options", ())),
                     units=tuple(item.get("units", ())),
                     description=item.get("description"),
-                    dependencies=tuple(c for c in deps if name in (c.p1, c.p2)),
                 )
             )
         changes = [

@@ -342,7 +342,7 @@ def _solve_pair(
 def _eligible_by_subcategory(specs: SpecSet) -> dict[Subcategory, list[str]]:
     eligible: dict[Subcategory, list[str]] = {sc: [] for sc in ALL_SUBCATEGORIES}
     for name, spec in specs.parameters.items():
-        for sc in assign_subcategories(spec):
+        for sc in assign_subcategories(spec, specs.dependencies):
             eligible[sc].append(name)
     eligible[Subcategory.VERSION_PARAMETER_CHANGE] = sorted(
         name for name, version in specs.version_violations if version == specs.version
@@ -351,12 +351,9 @@ def _eligible_by_subcategory(specs: SpecSet) -> dict[Subcategory, list[str]]:
 
 
 def _safe_companions(specs: SpecSet) -> list[str]:
-    version_names = specs.version_known_names
-    return [
-        name
-        for name, spec in specs.parameters.items()
-        if not spec.dependencies and name not in version_names
-    ]
+    """The parameters, in spec order, that no constraint or version record names."""
+    named = specs.version_known_names.union(*((c.p1, c.p2) for c in specs.dependencies))
+    return [name for name in specs.parameters if name not in named]
 
 
 def _constraint_for(specs: SpecSet, subcat: Subcategory, parameter: str) -> DependencyConstraint:
@@ -570,8 +567,9 @@ def load_dataset(project_dir: str | Path) -> tuple[str, DatasetSplit]:
     """Read one project's corpus back from disk.
 
     Raises SpecError when the manifest or a row is malformed or unreadable, a
-    row's path leaves the project directory, or a listed file does not parse or
-    no longer matches its row's content_key; SchemaVersionError for another schema.
+    misconfig row's bucket or category contradicts its subcategory, a row's
+    path leaves the project directory, or a listed file does not parse or no
+    longer matches its row's content_key; SchemaVersionError for another schema.
     """
     manifest_path = Path(project_dir) / MANIFEST_NAME
     try:
@@ -610,13 +608,16 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
             raise SpecError(f"{where}: cannot read {path}: {exc}") from exc
         if file.content_key() != row["content_key"]:
             raise SpecError(f"{path} does not match its manifest content_key")
-        label = _ROW_VALUES["label"][row["label"]]
+        label, bucket = _ROW_VALUES["label"][row["label"]], _ROW_VALUES["bucket"][row["bucket"]]
         injected = None
         if label is Label.MISCONFIG:
             subcategory = _ROW_VALUES["subcategory"][row["subcategory"]]
+            category = subcategory.category.value
+            if bucket is not subcategory or row.get("category", category) != category:
+                raise SpecError(f"{where}: bucket or category contradicts subcategory {subcategory.value!r}")
             injected = InjectedFault(row["parameter"], subcategory, row["reason"])
         try:
-            labeled = LabeledFile(file, label, injected, bucket=_ROW_VALUES["bucket"][row["bucket"]])
+            labeled = LabeledFile(file, label, injected, bucket=bucket)
         except ValueError as exc:  # the injected parameter is not in the file
             raise SpecError(f"{where}: {exc}") from exc
         (shots if row["split"] == "shot_pool" else evals).append(labeled)

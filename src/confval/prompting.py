@@ -194,8 +194,9 @@ def _names_doc(file: ConfigFile) -> str:
     return " ".join(file.names())
 
 
-def _target_rng(seed: int, content_key: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{content_key}".encode("utf-8")).digest()
+def derived_rng(*parts) -> random.Random:
+    """A generator seeded by the sha256 of the parts joined with ':'."""
+    digest = hashlib.sha256(":".join(map(str, parts)).encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -222,7 +223,7 @@ def select_shots(
     """
     cosine = strategy is SelectionStrategy.COSINE_SIMILARITY
     terms = term_counts(_names_doc(target)) if cosine else None
-    rng = None if cosine else _target_rng(seed, target.content_key())
+    rng = None if cosine else derived_rng(seed, target.content_key())
     subcategory_first = strategy is SelectionStrategy.SAME_SUBCATEGORY and target_subcategory is not None
     picked: list[Shot] = []
     for label, count in ((Label.VALID, combo.valid_count), (Label.MISCONFIG, combo.misconfig_count)):

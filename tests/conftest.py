@@ -106,7 +106,6 @@ def _kind_params(project: str, kind: ValueKind, count: int) -> list[ParameterSpe
         out.append(
             ParameterSpec(
                 name=name,
-                project=project,
                 kind=kind,
                 numeric_range=numeric_range,
                 default_value=default,
@@ -120,7 +119,6 @@ def _kind_params(project: str, kind: ValueKind, count: int) -> list[ParameterSpe
 def _dependency_params(project: str) -> list[ParameterSpec]:
     mk = lambda name, rng, default: ParameterSpec(  # noqa: E731
         name=f"{project}.{name}",
-        project=project,
         kind=ValueKind.INTEGER,
         numeric_range=rng,
         default_value=default,
@@ -128,7 +126,6 @@ def _dependency_params(project: str) -> list[ParameterSpec]:
     return [
         ParameterSpec(
             name=f"{project}.auth.enabled",
-            project=project,
             kind=ValueKind.BOOLEAN,
             default_value="true",
             description="Enables secure authentication.",
@@ -136,7 +133,6 @@ def _dependency_params(project: str) -> list[ParameterSpec]:
         mk("auth.update.interval", (1, 3600), "600"),
         ParameterSpec(
             name=f"{project}.cache.enabled",
-            project=project,
             kind=ValueKind.BOOLEAN,
             default_value="true",
         ),

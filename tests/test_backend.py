@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -32,7 +33,7 @@ from confval.config_model import ConfigEntry, ConfigFile, ConfigFormat
 from confval.constraints import Subcategory
 from confval.errors import BackendError
 from confval.evaluation import run_evaluation
-from confval.misconfig_gen import InjectedFault, Label, LabeledFile
+from confval.misconfig_gen import DatasetSplit, InjectedFault, Label, LabeledFile
 from confval.pipeline import PipelineSettings
 from confval.prompting import ShotDatabase, build_prompt, shot_from_labeled
 
@@ -46,6 +47,11 @@ def target_file(names=("a", "b", "c"), project="demo"):
 def misconfig_labeled(names=("a", "b", "c"), flagged="a"):
     fault = InjectedFault(flagged, Subcategory.RANGE_PORT, "too large")
     return LabeledFile(target_file(names), Label.MISCONFIG, fault)
+
+
+def corpus_of(*files):
+    """A corpus whose eval set holds just these files."""
+    return DatasetSplit((), files)
 
 
 def wait_until(predicate, seconds=10.0):
@@ -108,7 +114,7 @@ class TestBackendConfig:
 class TestMockBackend:
     def test_echo_ground_truth(self):
         labeled = misconfig_labeled()
-        truth = truth_map([labeled])
+        truth = truth_map([corpus_of(labeled)])
         backend = MockBackend(MockScript(MockBehavior.ECHO_GROUND_TRUTH, truth=truth))
         prompt = build_prompt(labeled.file, [])
         text = query(backend, prompt)
@@ -117,7 +123,7 @@ class TestMockBackend:
     @pytest.mark.parametrize("behavior", [MockBehavior.ECHO_GROUND_TRUTH, MockBehavior.NOISE_WITH_RATE])
     def test_valid_fallback_built_only_for_files_without_truth(self, monkeypatch, behavior):
         labeled = misconfig_labeled()
-        backend = MockBackend(MockScript(behavior, noise_rate=0.0, truth=truth_map([labeled])))
+        backend = MockBackend(MockScript(behavior, noise_rate=0.0, truth=truth_map([corpus_of(labeled)])))
         valid_text = confval.backend.valid_answer().to_json()
 
         def unexpected():
@@ -166,7 +172,7 @@ class TestMockBackend:
         def run():
             script = MockScript(
                 MockBehavior.NOISE_WITH_RATE,
-                truth=truth_map([labeled]),
+                truth=truth_map([corpus_of(labeled)]),
                 noise_rate=0.5,
                 seed=42,
             )
@@ -177,7 +183,7 @@ class TestMockBackend:
 
     def test_noise_rate_binomial_expectation(self):
         labeled = misconfig_labeled(names=tuple(f"p{i}" for i in range(8)), flagged="p0")
-        truth = truth_map([labeled])
+        truth = truth_map([corpus_of(labeled)])
         prompt = build_prompt(labeled.file, [])
         script = MockScript(
             MockBehavior.NOISE_WITH_RATE, truth=truth, noise_rate=0.2, seed=7
@@ -325,6 +331,31 @@ class TestMockBackend:
         for _ in range(5):
             assert len(query_batch(backend, prompt, 6)) == 6
         assert set(threading.enumerate()) - before == set(started)
+
+    def test_huge_cap_costs_only_what_is_used(self):
+        """Permits, like threads, are made on first need: a cap of 10**9 builds in
+        bounded time and memory, and a batch mints no more permits than its slots."""
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            pool = _RequestPool(10**9)
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pool.shutdown()
+        assert elapsed < 1.0
+        assert peak < 64 * 1024
+        gc.collect()
+        before = set(threading.enumerate())
+        backend = Counting(
+            MockBackend(MockScript(MockBehavior.ALWAYS_VALID), BackendConfig(max_parallel=10**9)), WAIT
+        )
+        prompt = build_prompt(target_file(), [])
+        assert len(within_deadline(lambda: query_batch(backend, prompt, 6))) == 6
+        started = [t for t in set(threading.enumerate()) - before if t.name.startswith("confval-request")]
+        assert 1 <= len(started) <= 6
+        assert 1 <= _request_pool(backend).minted <= 6
 
     def test_concurrent_batches_fill_the_cap(self):
         release = threading.Event()

@@ -16,7 +16,7 @@ import confval.cli
 import confval.misconfig_gen
 import confval.prompting
 from confval.cli import main
-from confval.constraints import ValueKind, save_spec_set
+from confval.constraints import Category, Subcategory, ValueKind, save_spec_set
 from confval.misconfig_gen import Label
 
 from conftest import demo_spec_set
@@ -128,7 +128,7 @@ class TestValidate:
         return write_config(
             workspace["tmp"],
             shot_db=str(workspace["dataset"]),
-            mock={"behavior": "echo_ground_truth", "truth_from": str(workspace["dataset"])},
+            mock={"behavior": "echo_ground_truth"},
         )
 
     def test_valid_file_exits_zero(self, workspace, capsys):
@@ -202,22 +202,23 @@ class TestEvaluate:
     def test_noise_reproducible_under_seed(self, workspace, capsys):
         config = write_config(
             workspace["tmp"],
-            mock={"behavior": "noise_with_rate", "noise_rate": 0.4, "seed": 9},
+            mock={"behavior": "noise_with_rate", "noise_rate": 0.4},
         )
 
-        def run():
+        def run(seed):
             code = main(
                 [
                     "evaluate",
                     "--dataset", str(workspace["dataset"]),
                     "--config", str(config),
-                    "--seed", "13",
+                    "--seed", seed,
                 ]
             )
             assert code == 0
             return capsys.readouterr().out
 
-        assert run() == run()
+        # the seed drives both the shot draws and the mock's noise
+        assert run("13") == run("13") != run("14")
 
     def test_systemic_failure_exits_two(self, workspace, capsys):
         config = write_config(workspace["tmp"], mock={"behavior": "malformed"})
@@ -379,6 +380,21 @@ class TestExitCodeContract:
         result = self._evaluate(workspace, **overrides)
         self._assert_operational_error(result, key)
 
+    @pytest.mark.parametrize("key, value", [("seed", 9), ("seed", None), ("truth_from", "dataset/")])
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    def test_mock_seed_and_truth_from_are_unknown_keys(self, workspace, key, value, command):
+        """The mock takes the run's seed and corpus; a config that sets its own exits 2."""
+        config = write_config(workspace["tmp"], mock={"behavior": "noise_with_rate", key: value})
+        row = manifest_rows(workspace["dataset"])[0]
+        args = {
+            "validate": ["--file", str(workspace["dataset"] / "clitest" / row["path"]),
+                         "--project", "clitest", "--version", "1.0.0"],
+            "evaluate": ["--dataset", str(workspace["dataset"])],
+        }[command]
+        result = run_cli(command, *args, "--config", str(config))
+        self._assert_operational_error(result, f"section 'mock': unknown key {key!r}")
+        assert result.stdout == ""
+
     def test_oversized_file(self, workspace):
         row = manifest_rows(workspace["dataset"])[0]
         config = write_config(workspace["tmp"], token_limit=20, shot_db=str(workspace["dataset"]))
@@ -397,7 +413,7 @@ class TestExitCodeContract:
         for seed in (1, 2, 3):
             config = write_config(
                 workspace["tmp"], num_queries=10, seed=seed, shots={"valid": 0, "misconfig": 0},
-                mock={"behavior": "noise_with_rate", "noise_rate": 1.0, "seed": seed},
+                mock={"behavior": "noise_with_rate", "noise_rate": 1.0},
             )
             result = run_cli(
                 "validate", "--file", str(path), "--project", "clitest", "--version", "1.0.0",
@@ -587,12 +603,8 @@ class TestCorpusLoading:
         for module in (confval.cli, confval.misconfig_gen, confval.prompting):
             if hasattr(module, "load_dataset"):
                 monkeypatch.setattr(module, "load_dataset", counting)
-        # the shot database and the mock's truth name the same root, spelt differently
-        config = write_config(
-            workspace["tmp"],
-            shot_db=f"{dataset}/",
-            mock={"behavior": "echo_ground_truth", "truth_from": str(dataset)},
-        )
+        # the shot database and the dataset (the mock's truth) name the same root, spelt differently
+        config = write_config(workspace["tmp"], shot_db=f"{dataset}/")
         code = main(["evaluate", "--dataset", str(dataset), "--config", str(config)])
         capsys.readouterr()
         assert code == 0
@@ -634,8 +646,6 @@ ACCEPTED = {
     ("mock",): {"object"},
     ("mock", "behavior"): {"string"},
     ("mock", "noise_rate"): NUMBER,
-    ("mock", "seed"): {"integer", "null"},
-    ("mock", "truth_from"): {"string", "null"},
 }
 NON_OBJECT = st.one_of(*(strategy for kind, strategy in JSON_KINDS.items() if kind != "object"))
 # every document that carries a schema_version: the framework config, a corpus
@@ -671,16 +681,19 @@ MANIFEST_FIELDS = (
 
 
 ROW_ONLY_HOWS = ["content_key", "missing_file", "escape", "corrupt_file"]
+MISCONFIG_ONLY_HOWS = ["contradict_bucket", "contradict_category"]
 
 
 @st.composite
 def manifest_mutation(draw):
     """One way to break a manifest: a key dropped, a value of a wrong JSON
     type, a wrong content_key, a path to a missing file, a path that leaves
-    the project directory to reach a real file, or a listed file overwritten
-    with malformed markup."""
+    the project directory to reach a real file, a listed file overwritten
+    with malformed markup, or a misconfig row whose bucket or category
+    contradicts its sub-category."""
     where, key, kind = draw(st.sampled_from(MANIFEST_FIELDS))
     hows = ["drop", "retype"] + (ROW_ONLY_HOWS if where != "manifest" else [])
+    hows += MISCONFIG_ONLY_HOWS if where == Label.MISCONFIG.value else []
     how = draw(st.sampled_from(hows))
     value = draw(st.one_of(*(strategy for k, strategy in JSON_KINDS.items() if k != kind)))
     return where, key, how, draw(st.integers(min_value=0, max_value=10_000)), value
@@ -706,6 +719,13 @@ def mutate_manifest(manifest, project_dir, where, key, how, pick, value):
     elif how == "corrupt_file":
         markup = "<configuration><property>" if doc["format"] == "xml" else "no separator\n"
         (project_dir / doc["path"]).write_text(markup, encoding="utf-8")
+    elif how == "contradict_bucket":  # another sub-category, or none
+        others = [sc.value for sc in Subcategory if sc.value != doc["subcategory"]] + ["unbucketed"]
+        doc["bucket"] = others[pick % len(others)]
+    elif how == "contradict_category":
+        own = Subcategory(doc["subcategory"]).category.value
+        others = [c.value for c in Category if c.value != own]
+        doc["category"] = others[pick % len(others)]
     return None if where == "manifest" else doc
 
 
@@ -854,9 +874,11 @@ class TestBoundaryFuzz:
         assert code == 2
         assert "error:" in err
 
-    # more draws than the other fuzz tests: there are 96 (where, key, how) mutations
+    # more draws than the other fuzz tests: there are 114 (where, key, how) mutations
     @settings(fuzz, max_examples=200)
     @given(manifest_mutation())
+    @example((Label.MISCONFIG.value, "bucket", "contradict_bucket", 0, None))
+    @example((Label.MISCONFIG.value, "category", "contradict_category", 0, None))
     def test_broken_manifest_exits_two(self, readme_workspace, monkeypatch, mutation):
         monkeypatch.chdir(readme_workspace)
         project_dir = Path("dataset/readme")
@@ -875,7 +897,7 @@ class TestBoundaryFuzz:
         assert code == 2
         assert "error:" in err
         how = mutation[2]
-        if how in ("escape", "corrupt_file"):
+        if how in ("escape", "corrupt_file", *MISCONFIG_ONLY_HOWS):
             (line,) = [line for line in err.splitlines() if line.startswith("error:")]
             index = manifest["files"].index(row)
             assert f"files[{index}]" in line

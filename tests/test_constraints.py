@@ -36,7 +36,7 @@ from conftest import demo_spec_set, six_project_specs
 
 
 def spec(kind, name="demo.param", **kw):
-    return ParameterSpec(name=name, project="demo", kind=kind, **kw)
+    return ParameterSpec(name=name, kind=kind, **kw)
 
 
 def file_of(specs, mapping, version=None):
@@ -74,10 +74,13 @@ class TestAssignSubcategories:
         relation = DependencyConstraint(
             DependencyKind.VALUE_RELATIONSHIP, "demo.param", "demo.upper", Comparator.LE
         )
-        with_deps = spec(ValueKind.INTEGER, dependencies=(control, relation))
-        got = assign_subcategories(with_deps)
+        got = assign_subcategories(spec(ValueKind.INTEGER), (control, relation))
         assert Subcategory.DEPENDENCY_CONTROL in got  # as the controlled p2
         assert Subcategory.DEPENDENCY_VALUE_RELATIONSHIP in got  # as p1
+        # a constraint the parameter does not carry adds nothing
+        assert assign_subcategories(spec(ValueKind.INTEGER, name="demo.upper"), (control, relation)) == (
+            assign_subcategories(spec(ValueKind.INTEGER))
+        )
 
     @settings(max_examples=60)
     @given(

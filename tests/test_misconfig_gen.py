@@ -8,6 +8,7 @@ import pytest
 import confval.misconfig_gen
 from confval.config_model import ConfigFormat
 from confval.constraints import (
+    Category,
     Comparator,
     DependencyConstraint,
     DependencyKind,
@@ -25,7 +26,9 @@ from confval.misconfig_gen import (
     build_dataset,
     generate_invalid_value,
     generate_valid_value,
+    _eligible_by_subcategory,
     _FileBuilder,
+    _safe_companions,
     load_dataset,
     write_dataset,
 )
@@ -39,7 +42,7 @@ SEED_11_CORPUS_SHA256 = "866013f2aca66d8beea1c40610aae124f491ba3e579756d718cbedf
 
 
 def spec(kind, name="demo.param", **kw):
-    return ParameterSpec(name=name, project="demo", kind=kind, **kw)
+    return ParameterSpec(name=name, kind=kind, **kw)
 
 
 class TestGenerateInvalid:
@@ -274,7 +277,7 @@ class TestBuildDataset:
     def test_coverage_every_eligible_subcategory(self, spec_set, dataset):
         eligible = set()
         for parameter in spec_set.parameters.values():
-            eligible |= assign_subcategories(parameter)
+            eligible |= assign_subcategories(parameter, spec_set.dependencies)
         eligible.add(Subcategory.VERSION_PARAMETER_CHANGE)
         got = {
             lf.injected.subcategory
@@ -290,6 +293,41 @@ class TestBuildDataset:
             (lf.file.content_key(), lf.label.value) for lf in split.shot_pool + split.eval_set
         ]
         assert fingerprint(first) == fingerprint(second)
+
+
+def frozen_attach_then_assign(specs):
+    """The eligible parameters of each sub-category and the safe companions, as
+    derived when every ParameterSpec carried the constraints that name it."""
+    attached = {name: tuple(c for c in specs.dependencies if name in (c.p1, c.p2)) for name in specs.parameters}
+    eligible = {}
+    for name, spec in specs.parameters.items():
+        subcategories = {sc for sc in (spec.rule.syntax, spec.rule.range) if sc is not None}
+        subcategories.update(c.subcategory for c in attached[name] if c.carrier == name)
+        for sc in subcategories:
+            eligible.setdefault(sc, []).append(name)
+    companions = [
+        name for name in specs.parameters if not attached[name] and name not in specs.version_known_names
+    ]
+    return eligible, companions
+
+
+class TestSpecSetHoldsDependencies:
+    """The SpecSet alone holds the constraints; what generation derives from them
+    matches the code that first attached them to both their parameters."""
+
+    @pytest.mark.parametrize("specs", six_project_specs(), ids=lambda specs: specs.project)
+    def test_matches_the_attached_derivation(self, specs):
+        eligible, companions = frozen_attach_then_assign(specs)
+        got = _eligible_by_subcategory(specs)
+        del got[Subcategory.VERSION_PARAMETER_CHANGE]  # from version records, not constraints
+        assert got == eligible  # the same names in the same (spec) order, so the same draws
+        assert {sc for sc in eligible if sc.category is Category.DEPENDENCY} == {
+            c.subcategory for c in specs.dependencies
+        }
+        assert _safe_companions(specs) == companions
+        for name, spec in specs.parameters.items():
+            assigned = assign_subcategories(spec, specs.dependencies)
+            assert assigned == {sc for sc, names in eligible.items() if name in names}
 
 
 class TestCorpusOnDisk:

@@ -307,9 +307,9 @@ class TestSelectShots:
         splits, (db, _) = six_splits_and_databases(six_datasets)
         target = next(lf for lf in splits[sorted(splits)[0]].eval_set if lf.label is Label.MISCONFIG)
         seeded, built = [], []
-        original_rng = confval.prompting._target_rng
+        original_rng = confval.prompting.derived_rng
         monkeypatch.setattr(
-            confval.prompting, "_target_rng", lambda *args: seeded.append(args) or original_rng(*args)
+            confval.prompting, "derived_rng", lambda *args: seeded.append(args) or original_rng(*args)
         )
 
         def building(file, shots, template):
