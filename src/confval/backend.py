@@ -55,8 +55,8 @@ class BackendConfig:
             raise ValueError("temperature must be within [0, 2]")
         if self.token_limit <= 0:
             raise ValueError("token_limit must be positive")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
+        if not (0 < self.request_timeout <= threading.TIMEOUT_MAX):  # NaN included
+            raise ValueError(f"request_timeout must be within (0, {threading.TIMEOUT_MAX:g}] seconds")
         if self.max_parallel <= 0:
             raise ValueError("max_parallel must be positive")
 

@@ -188,22 +188,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     eval_total = sum(len(split.eval_set) for split in datasets.values())
     _progress(f"evaluating {eval_total} files from {len(datasets)} project(s)")
     if args.sweep:
-        reports = run_sweep(datasets, backend, shot_db, settings, max_shots=args.max_shots, jobs=args.jobs)
+        sweep = run_sweep(datasets, backend, shot_db, settings, max_shots=args.max_shots, jobs=args.jobs)
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "sweep": {label: report.to_dict() for label, report in reports.items()},
+            "sweep": {label: report.to_dict() for label, report in sweep.items()},
         }
-        systemic = all(r.files_scored == 0 for r in reports.values())
+        reports = list(sweep.values())
     else:
-        report = run_evaluation(datasets, backend, shot_db, settings, jobs=args.jobs)
-        doc = report.to_dict()
-        systemic = report.files_scored == 0
+        reports = [run_evaluation(datasets, backend, shot_db, settings, jobs=args.jobs)]
+        doc = reports[0].to_dict()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.report:
         Path(args.report).write_text(text + "\n", encoding="utf-8")
         _progress(f"report written to {args.report}")
     print(text)
-    return 2 if systemic else 0
+    if all(r.files_scored == 0 for r in reports):  # a systemic failure
+        failures = [failure["error"] for r in reports for failure in r.failures]
+        first = f"; the first: {failures[0]}" if failures else ""
+        raise ConfvalError(f"no file was scored: {len(failures)} file validations failed{first}")
+    return 0
 
 
 def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:

@@ -299,7 +299,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class SpecSet:
-    """All specs, dependencies and version history for one project."""
+    """All specs, dependencies and version history for one project. Each
+    parameter is held under its own name, and a dependency may relate only
+    parameters the set holds."""
 
     project: str
     version: str
@@ -307,6 +309,17 @@ class SpecSet:
     parameters: dict[str, ParameterSpec]
     dependencies: tuple[DependencyConstraint, ...] = ()
     version_changes: tuple[VersionChange, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "dependencies", tuple(self.dependencies))
+        object.__setattr__(self, "version_changes", tuple(self.version_changes))
+        for name, spec in self.parameters.items():
+            if name != spec.name:
+                raise ValueError(f"parameter {spec.name!r} is held under the name {name!r}")
+        for c in self.dependencies:
+            for p in (c.p1, c.p2):
+                if p not in self.parameters:
+                    raise ValueError(f"dependency references unknown parameter: {p}")
 
     @frozen_cached_property
     def version_violations(self) -> dict[tuple[str, str], Violation]:
@@ -325,36 +338,6 @@ class SpecSet:
     def version_known_names(self) -> frozenset[str]:
         """Every parameter some version-change record names."""
         return frozenset(name for name, _ in self.version_violations)
-
-
-def build_spec_set(
-    project: str,
-    version: str,
-    file_format: ConfigFormat,
-    parameters: list[ParameterSpec],
-    dependencies: list[DependencyConstraint] = (),
-    version_changes: list[VersionChange] = (),
-) -> SpecSet:
-    """Assemble a SpecSet, refusing a duplicate parameter and a constraint on an
-    unknown one. The SpecSet alone holds the project and the constraints."""
-    dependencies = tuple(dependencies)
-    by_name: dict[str, ParameterSpec] = {}
-    for spec in parameters:
-        if spec.name in by_name:
-            raise SpecError(f"duplicate parameter spec: {spec.name}")
-        by_name[spec.name] = spec
-    for c in dependencies:
-        for p in (c.p1, c.p2):
-            if p not in by_name:
-                raise SpecError(f"dependency references unknown parameter: {p}")
-    return SpecSet(
-        project=project,
-        version=version,
-        file_format=file_format,
-        parameters=by_name,
-        dependencies=dependencies,
-        version_changes=tuple(version_changes),
-    )
 
 
 # --- sub-category assignment ---
@@ -556,47 +539,6 @@ _ITEM_KEYS = {
 }
 
 
-def spec_set_to_dict(specs: SpecSet) -> dict:
-    params = []
-    for spec in specs.parameters.values():
-        item: dict = {"name": spec.name, "kind": spec.kind.value}
-        if spec.numeric_range is not None:
-            item["range"] = list(spec.numeric_range)
-        if spec.default_value is not None:
-            item["default"] = spec.default_value
-        if spec.options:
-            item["options"] = list(spec.options)
-        if spec.units:
-            item["units"] = list(spec.units)
-        if spec.description is not None:
-            item["description"] = spec.description
-        params.append(item)
-    deps = []
-    for c in specs.dependencies:
-        item = {"kind": c.kind.value, "p1": c.p1, "p2": c.p2, "comparator": c.comparator.value}
-        if c.value is not None:
-            item["value"] = c.value
-        deps.append(item)
-    changes = [
-        {
-            "v1": ch.v1,
-            "v2": ch.v2,
-            "removed_in_v2": sorted(ch.removed_in_v2),
-            "added_in_v2": sorted(ch.added_in_v2),
-        }
-        for ch in specs.version_changes
-    ]
-    return {
-        "schema_version": SPEC_SCHEMA_VERSION,
-        "project": specs.project,
-        "version": specs.version,
-        "file_format": specs.file_format.value,
-        "parameters": params,
-        "dependencies": deps,
-        "version_changes": changes,
-    }
-
-
 def spec_set_from_dict(doc: dict) -> SpecSet:
     checked(doc, _SPEC_KEYS, "spec document")
     for key, types in _ITEM_KEYS.items():
@@ -618,20 +560,20 @@ def spec_set_from_dict(doc: dict) -> SpecSet:
             )
             for item in doc.get("dependencies", ())
         ]
-        params = []
+        parameters: dict[str, ParameterSpec] = {}
         for item in doc["parameters"]:
             ConfigEntry(item["name"], "")  # a name a configuration file can hold
+            if item["name"] in parameters:
+                raise SpecError(f"duplicate parameter spec: {item['name']}")
             rng = item.get("range")
-            params.append(
-                ParameterSpec(
-                    name=item["name"],
-                    kind=ValueKind(item["kind"]),
-                    numeric_range=tuple(rng) if rng is not None else None,
-                    default_value=item.get("default"),
-                    options=tuple(item.get("options", ())),
-                    units=tuple(item.get("units", ())),
-                    description=item.get("description"),
-                )
+            parameters[item["name"]] = ParameterSpec(
+                name=item["name"],
+                kind=ValueKind(item["kind"]),
+                numeric_range=tuple(rng) if rng is not None else None,
+                default_value=item.get("default"),
+                options=tuple(item.get("options", ())),
+                units=tuple(item.get("units", ())),
+                description=item.get("description"),
             )
         changes = [
             VersionChange(
@@ -642,17 +584,11 @@ def spec_set_from_dict(doc: dict) -> SpecSet:
             )
             for item in doc.get("version_changes", ())
         ]
+        return SpecSet(project, version, file_format, parameters, deps, changes)
     except (KeyError, ValueError, TypeError) as exc:
         raise SpecError(f"invalid spec document: {exc}") from exc
-    return build_spec_set(project, version, file_format, params, deps, changes)
 
 
 def load_spec_set(path: str | Path) -> SpecSet:
     return spec_set_from_dict(read_document(path, "spec document", SPEC_SCHEMA_VERSION))
 
-
-def save_spec_set(specs: SpecSet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(spec_set_to_dict(specs), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

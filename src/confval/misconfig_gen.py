@@ -64,7 +64,8 @@ class InjectedFault:
 @dataclass(frozen=True)
 class LabeledFile:
     """A config file with its ground truth; bucket records the sampling
-    sub-category (for valid files too, where no fault exists)."""
+    sub-category (for valid files too, where no fault exists), which for a
+    misconfigured file is its fault's."""
 
     file: ConfigFile
     label: Label
@@ -74,10 +75,13 @@ class LabeledFile:
     def __post_init__(self):
         if (self.label is Label.MISCONFIG) != (self.injected is not None):
             raise ValueError("misconfig label and injected fault must come together")
-        if self.injected is not None and self.file.get(self.injected.parameter) is None:
-            raise ValueError(
-                f"injected parameter {self.injected.parameter!r} missing from file"
-            )
+        if self.injected is None:
+            return
+        if self.file.get(self.injected.parameter) is None:
+            raise ValueError(f"injected parameter {self.injected.parameter!r} missing from file")
+        if self.bucket is not self.injected.subcategory:
+            bucket = self.bucket and self.bucket.value
+            raise ValueError(f"bucket {bucket!r} contradicts subcategory {self.injected.subcategory.value!r}")
 
 
 @dataclass(frozen=True)
@@ -613,12 +617,12 @@ def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
         if label is Label.MISCONFIG:
             subcategory = _ROW_VALUES["subcategory"][row["subcategory"]]
             category = subcategory.category.value
-            if bucket is not subcategory or row.get("category", category) != category:
-                raise SpecError(f"{where}: bucket or category contradicts subcategory {subcategory.value!r}")
+            if row.get("category", category) != category:
+                raise SpecError(f"{where}: category contradicts subcategory {subcategory.value!r}")
             injected = InjectedFault(row["parameter"], subcategory, row["reason"])
         try:
             labeled = LabeledFile(file, label, injected, bucket=bucket)
-        except ValueError as exc:  # the injected parameter is not in the file
+        except ValueError as exc:  # the injected parameter is not in the file, or the bucket is wrong
             raise SpecError(f"{where}: {exc}") from exc
         (shots if row["split"] == "shot_pool" else evals).append(labeled)
     return project, DatasetSplit(tuple(shots), tuple(evals))

@@ -198,9 +198,10 @@ class FileVote:
 
     def __init__(self, settings: PipelineSettings):
         self.settings = settings
-        # open slots by the attempt they make next; a wave takes slots of one
-        # attempt only, so which thread's call served which slot cannot matter
-        self.waiting = [settings.num_queries] + [0] * settings.retry_bound
+        # open slots by the attempt they make next, one more attempt as a discard
+        # first earns it; a wave takes slots of one attempt only, so which
+        # thread's call served which slot cannot matter
+        self.waiting = [settings.num_queries]
         self.attempt = self.discarded = self.backend_failures = 0
         self.accepted: list[ValidationResponse] = []
         self.tally: Counter = Counter()
@@ -227,6 +228,8 @@ class FileVote:
             if reading is None:
                 self.discarded += 1
                 if self.attempt < self.settings.retry_bound:
+                    if self.attempt + 1 == len(self.waiting):
+                        self.waiting.append(0)
                     self.waiting[self.attempt + 1] += 1
             else:
                 accepted.append(reading)

@@ -1,5 +1,5 @@
-"""Shared fixtures: synthetic project specs, generated corpora and a
-counting backend wrapper.
+"""Shared fixtures: synthetic project spec documents, the specs read from
+them, generated corpora and a counting backend wrapper.
 
 The demo projects are sized so that most sub-categories clear the
 sample-of-five threshold (one shot plus four eval files) while a few stay
@@ -17,16 +17,7 @@ import pytest
 
 from confval.backend import Backend
 from confval.config_model import ConfigFormat
-from confval.constraints import (
-    Comparator,
-    DependencyConstraint,
-    DependencyKind,
-    ParameterSpec,
-    SpecSet,
-    ValueKind,
-    VersionChange,
-    build_spec_set,
-)
+from confval.constraints import SPEC_SCHEMA_VERSION, SpecSet, ValueKind, spec_set_from_dict
 from confval.misconfig_gen import build_dataset
 
 
@@ -74,134 +65,113 @@ DEFAULT_COUNTS = {
 }
 
 _KIND_STEMS = {
-    ValueKind.INTEGER: ("rpc.timeout.ms", (1, 60000), "3000"),
-    ValueKind.LONG: ("journal.segment.bytes", (1024, 2**40), "1048576"),
-    ValueKind.FLOAT: ("load.factor", (0.0, 1.0), "0.75"),
+    ValueKind.INTEGER: ("rpc.timeout.ms", [1, 60000], "3000"),
+    ValueKind.LONG: ("journal.segment.bytes", [1024, 2**40], "1048576"),
+    ValueKind.FLOAT: ("load.factor", [0.0, 1.0], "0.75"),
     ValueKind.BOOLEAN: ("feature.enabled", None, "false"),
     ValueKind.STRING: ("node.label", None, "worker"),
     ValueKind.PATH: ("data.dir", None, "/var/lib/node"),
     ValueKind.URL: ("endpoint.uri", None, "http://127.0.0.1:8080/api"),
     ValueKind.IP_ADDRESS: ("bind.address", None, "0.0.0.0"),
-    ValueKind.PORT: ("listen.port", (0, 65535), "8020"),
+    ValueKind.PORT: ("listen.port", [0, 65535], "8020"),
     ValueKind.PERMISSION: ("file.mode", None, "644"),
     ValueKind.ENUM: ("sync.mode", None, None),
     ValueKind.NUMBER_WITH_UNIT: ("cache.size", None, "64mb"),
 }
 
 
-def _kind_params(project: str, kind: ValueKind, count: int) -> list[ParameterSpec]:
+def _kind_params(project: str, kind: ValueKind, count: int) -> list[dict]:
     stem, numeric_range, default = _KIND_STEMS[kind]
     out = []
     for i in range(count):
-        name = f"{project}.{stem}.{i}" if count > 1 else f"{project}.{stem}"
-        extra = {}
+        item = {
+            "name": f"{project}.{stem}.{i}" if count > 1 else f"{project}.{stem}",
+            "kind": kind.value,
+            "range": numeric_range,
+            "default": default,
+        }
         if kind is ValueKind.ENUM:
-            extra["options"] = ("strict", "lenient", "off")
-            default = "strict"
+            item["options"] = ["strict", "lenient", "off"]
+            item["default"] = "strict"
         if kind is ValueKind.NUMBER_WITH_UNIT:
-            extra["units"] = ("kb", "mb", "gb")
-        description = None
+            item["units"] = ["kb", "mb", "gb"]
         if i % 2 == 0:
-            description = f"Controls {stem.replace('.', ' ')} for worker {i}."
-        out.append(
-            ParameterSpec(
-                name=name,
-                kind=kind,
-                numeric_range=numeric_range,
-                default_value=default,
-                description=description,
-                **extra,
-            )
-        )
+            item["description"] = f"Controls {stem.replace('.', ' ')} for worker {i}."
+        out.append(item)
     return out
 
 
-def _dependency_params(project: str) -> list[ParameterSpec]:
-    mk = lambda name, rng, default: ParameterSpec(  # noqa: E731
-        name=f"{project}.{name}",
-        kind=ValueKind.INTEGER,
-        numeric_range=rng,
-        default_value=default,
-    )
+def _dependency_params(project: str) -> list[dict]:
+    def integer(name, rng, default):
+        return {"name": f"{project}.{name}", "kind": "integer", "range": rng, "default": default}
+
     return [
-        ParameterSpec(
-            name=f"{project}.auth.enabled",
-            kind=ValueKind.BOOLEAN,
-            default_value="true",
-            description="Enables secure authentication.",
-        ),
-        mk("auth.update.interval", (1, 3600), "600"),
-        ParameterSpec(
-            name=f"{project}.cache.enabled",
-            kind=ValueKind.BOOLEAN,
-            default_value="true",
-        ),
-        mk("cache.ttl.seconds", (60, 86400), "3600"),
-        mk("io.bytes.per.checksum", (512, 8192), "1024"),
-        mk("io.buffer.size", (2048, 65536), "8192"),
-        mk("quota.soft.limit", (256, 4096), "512"),
-        mk("quota.hard.limit", (1024, 8192), "4096"),
+        {
+            "name": f"{project}.auth.enabled",
+            "kind": "boolean",
+            "default": "true",
+            "description": "Enables secure authentication.",
+        },
+        integer("auth.update.interval", [1, 3600], "600"),
+        {"name": f"{project}.cache.enabled", "kind": "boolean", "default": "true"},
+        integer("cache.ttl.seconds", [60, 86400], "3600"),
+        integer("io.bytes.per.checksum", [512, 8192], "1024"),
+        integer("io.buffer.size", [2048, 65536], "8192"),
+        integer("quota.soft.limit", [256, 4096], "512"),
+        integer("quota.hard.limit", [1024, 8192], "4096"),
     ]
 
 
-def _dependencies(project: str) -> list[DependencyConstraint]:
+def _dependencies(project: str) -> list[dict]:
     p = lambda name: f"{project}.{name}"  # noqa: E731
     return [
-        DependencyConstraint(
-            DependencyKind.CONTROL, p("auth.enabled"), p("auth.update.interval"),
-            Comparator.EQ, "true",
-        ),
-        DependencyConstraint(
-            DependencyKind.CONTROL, p("cache.enabled"), p("cache.ttl.seconds"),
-            Comparator.EQ, "true",
-        ),
-        DependencyConstraint(
-            DependencyKind.VALUE_RELATIONSHIP,
-            p("io.bytes.per.checksum"), p("io.buffer.size"), Comparator.LE,
-        ),
-        DependencyConstraint(
-            DependencyKind.VALUE_RELATIONSHIP,
-            p("quota.soft.limit"), p("quota.hard.limit"), Comparator.LE,
-        ),
+        {"kind": "control", "p1": p("auth.enabled"), "p2": p("auth.update.interval"),
+         "comparator": "=", "value": "true"},
+        {"kind": "control", "p1": p("cache.enabled"), "p2": p("cache.ttl.seconds"),
+         "comparator": "=", "value": "true"},
+        {"kind": "value_relationship", "p1": p("io.bytes.per.checksum"), "p2": p("io.buffer.size"),
+         "comparator": "<="},
+        {"kind": "value_relationship", "p1": p("quota.soft.limit"), "p2": p("quota.hard.limit"),
+         "comparator": "<="},
     ]
 
 
-def _version_changes(project: str, version: str) -> list[VersionChange]:
+def _version_changes(project: str, version: str) -> list[dict]:
     return [
-        VersionChange(
-            v1="1.9.0",
-            v2=version,
-            removed_in_v2=frozenset({f"{project}.legacy.sync.mode", f"{project}.old.retry.count"}),
-        ),
-        VersionChange(
-            v1=version,
-            v2="9.9.0",
-            added_in_v2=frozenset({f"{project}.future.async.mode"}),
-        ),
+        {"v1": "1.9.0", "v2": version,
+         "removed_in_v2": [f"{project}.legacy.sync.mode", f"{project}.old.retry.count"]},
+        {"v1": version, "v2": "9.9.0", "added_in_v2": [f"{project}.future.async.mode"]},
     ]
 
 
-def demo_spec_set(
+def demo_spec_doc(
     project: str = "stormdb",
     version: str = "2.1.0",
     file_format: ConfigFormat = ConfigFormat.XML,
     counts: dict | None = None,
-) -> SpecSet:
+) -> dict:
+    """A demo project's spec document, as a spec file holds it."""
     merged = dict(DEFAULT_COUNTS)
     merged.update(counts or {})
-    params: list[ParameterSpec] = []
+    params: list[dict] = []
     for kind, count in merged.items():
         if count:
             params.extend(_kind_params(project, kind, count))
     params.extend(_dependency_params(project))
-    return build_spec_set(
-        project,
-        version,
-        file_format,
-        params,
-        _dependencies(project),
-        _version_changes(project, version),
-    )
+    return {
+        "schema_version": SPEC_SCHEMA_VERSION,
+        "project": project,
+        "version": version,
+        "file_format": file_format.value,
+        "parameters": params,
+        "dependencies": _dependencies(project),
+        "version_changes": _version_changes(project, version),
+    }
+
+
+def demo_spec_set(*args, **kwargs) -> SpecSet:
+    """The demo project's specs, read from its spec document."""
+    return spec_set_from_dict(demo_spec_doc(*args, **kwargs))
 
 
 def six_project_specs() -> list[SpecSet]:

@@ -199,10 +199,9 @@ def test_metrics_against_brute_force():
         entries = tuple(ConfigEntry(n, "1") for n in names)
         file = ConfigFile(f"proj{index % 7}", "1.0", ConfigFormat.XML, entries)
         if injected:
+            subcategory = ALL_SUBCATEGORIES[index % 15]
             truth = LabeledFile(
-                file,
-                Label.MISCONFIG,
-                InjectedFault(injected, ALL_SUBCATEGORIES[index % 15], "reason"),
+                file, Label.MISCONFIG, InjectedFault(injected, subcategory, "reason"), bucket=subcategory
             )
         else:
             truth = LabeledFile(file, Label.VALID)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ import requests
 import confval
 from confval.backend import (
     MALFORMED_TEXT,
+    RETRY_ATTEMPTS,
     Backend,
     BackendConfig,
     HttpBackend,
@@ -46,7 +48,7 @@ def target_file(names=("a", "b", "c"), project="demo"):
 
 def misconfig_labeled(names=("a", "b", "c"), flagged="a"):
     fault = InjectedFault(flagged, Subcategory.RANGE_PORT, "too large")
-    return LabeledFile(target_file(names), Label.MISCONFIG, fault)
+    return LabeledFile(target_file(names), Label.MISCONFIG, fault, bucket=Subcategory.RANGE_PORT)
 
 
 def corpus_of(*files):
@@ -104,11 +106,18 @@ class TestBackendConfig:
             {"token_limit": 0},
             {"max_parallel": 0},
             {"request_timeout": 0},
+            # a socket timeout past threading.TIMEOUT_MAX, or not a number, fails in urllib3
+            {"request_timeout": float("nan")},
+            {"request_timeout": float("inf")},
+            {"request_timeout": 1e10},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             BackendConfig(**kwargs)
+
+    def test_longest_timeout_accepted(self):
+        assert BackendConfig(request_timeout=threading.TIMEOUT_MAX).request_timeout == threading.TIMEOUT_MAX
 
 
 class TestMockBackend:
@@ -757,3 +766,22 @@ def test_http_backend_against_local_server(monkeypatch):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def test_longest_timeout_against_a_closed_port_is_a_backend_error(monkeypatch):
+    """The longest timeout BackendConfig accepts is one the socket layer takes:
+    a refused connection is retried and given up as a BackendError."""
+    with socket.socket() as probe:  # a local port that nothing listens on once closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    monkeypatch.setenv("CONFVAL_API_KEY", "sk-local")
+    config = BackendConfig(endpoint=f"http://127.0.0.1:{port}/v1/chat", request_timeout=threading.TIMEOUT_MAX)
+    sleeps = []
+    backend = HttpBackend(config, sleep=sleeps.append)
+    try:
+        with pytest.raises(BackendError, match="giving up") as exc_info:
+            query(backend, build_prompt(target_file(), []))
+    finally:
+        backend._session.close()
+    assert exc_info.value.category == "transport"
+    assert len(sleeps) == RETRY_ATTEMPTS - 1

@@ -16,10 +16,10 @@ import confval.cli
 import confval.misconfig_gen
 import confval.prompting
 from confval.cli import main
-from confval.constraints import Category, Subcategory, ValueKind, save_spec_set
+from confval.constraints import Category, Subcategory, ValueKind
 from confval.misconfig_gen import Label
 
-from conftest import demo_spec_set
+from conftest import demo_spec_doc
 
 # sized so the shot pool ends up with a handful of misconfig shots (the
 # data-type, numeric-range and both port sub-categories clear the threshold)
@@ -41,13 +41,12 @@ SMALL_COUNTS = {
 
 @pytest.fixture
 def workspace(tmp_path):
-    specs = demo_spec_set("clitest", "1.0.0", counts=SMALL_COUNTS)
     spec_path = tmp_path / "spec.json"
-    save_spec_set(specs, spec_path)
+    spec_path.write_text(json.dumps(demo_spec_doc("clitest", "1.0.0", counts=SMALL_COUNTS)), encoding="utf-8")
     dataset_root = tmp_path / "dataset"
     code = main(["gen-dataset", "--spec", str(spec_path), "--out", str(dataset_root), "--seed", "5"])
     assert code == 0
-    return {"specs": specs, "spec_path": spec_path, "dataset": dataset_root, "tmp": tmp_path}
+    return {"spec_path": spec_path, "dataset": dataset_root, "tmp": tmp_path}
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -104,6 +103,26 @@ class TestGenDataset:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: invalid spec document" in err and "surrogates not allowed" in err
+
+    @pytest.mark.parametrize("fault", ["duplicate", "p1", "p2"])
+    def test_contradictory_spec_exits_two(self, tmp_path, capsys, fault):
+        """A parameter named twice, or a dependency on a parameter the document lacks."""
+        doc = demo_spec_doc("clitest", "1.0.0", counts=SMALL_COUNTS)
+        if fault == "duplicate":
+            doc["parameters"].append(dict(doc["parameters"][0]))
+            needle = f"duplicate parameter spec: {doc['parameters'][0]['name']}"
+        else:
+            doc["dependencies"][0][fault] = "clitest.nowhere"
+            needle = "dependency references unknown parameter: clitest.nowhere"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["gen-dataset", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / "d").exists()
 
     def test_same_seed_is_byte_identical(self, workspace, tmp_path):
         other = tmp_path / "again"
@@ -221,12 +240,24 @@ class TestEvaluate:
         assert run("13") == run("13") != run("14")
 
     def test_systemic_failure_exits_two(self, workspace, capsys):
+        """A run or sweep that scores no file still prints its report, then
+        names the number of failed files and the first failure on one error line."""
         config = write_config(workspace["tmp"], mock={"behavior": "malformed"})
-        code = main(
-            ["evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config)]
-        )
-        capsys.readouterr()
-        assert code == 2
+        for sweep in ([], ["--sweep", "--max-shots", "1"]):
+            code = main(
+                ["evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config), *sweep]
+            )
+            captured = capsys.readouterr()
+            assert code == 2
+            doc = json.loads(captured.out)
+            reports = list(doc["sweep"].values()) if sweep else [doc]
+            failures = [failure["error"] for report in reports for failure in report["failures"]]
+            assert failures and failures[0].startswith("ValidationFailedError: no accepted response")
+            errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+            assert errors == [
+                f"error: no file was scored: {len(failures)} file validations failed; "
+                f"the first: {failures[0]}"
+            ]
 
     def test_sweep_emits_21_reports(self, workspace, capsys):
         config = write_config(workspace["tmp"])
@@ -422,6 +453,21 @@ class TestExitCodeContract:
             assert (result.returncode, result.stderr) == (0, "")
             assert json.loads(result.stdout)["hasError"] is False
 
+    @pytest.mark.parametrize("timeout", ["NaN", "Infinity", "1e400", "1e10"])
+    def test_request_timeout_the_socket_layer_cannot_take(self, workspace, timeout):
+        """Not a number, or past threading.TIMEOUT_MAX, which urllib3 would refuse mid-run."""
+        config = workspace["tmp"] / "http.json"
+        config.write_text(
+            '{"backend": "http", "endpoint": "http://127.0.0.1:9/v1/chat", "request_timeout": %s}' % timeout
+        )
+        row = manifest_rows(workspace["dataset"])[0]
+        result = run_cli(
+            "validate", "--file", str(workspace["dataset"] / "clitest" / row["path"]),
+            "--project", "clitest", "--version", "1.0.0", "--config", str(config),
+        )
+        self._assert_operational_error(result, "request_timeout must be within (0, 9.22337e+09] seconds")
+        assert result.stdout == ""
+
     def test_config_document_not_an_object(self, workspace):
         config = workspace["tmp"] / "confval.json"
         config.write_text("[1, 2]", encoding="utf-8")
@@ -589,7 +635,8 @@ class TestFrameworkConfig:
 class TestCorpusLoading:
     def test_evaluate_reads_each_project_once(self, workspace, monkeypatch, capsys):
         spec_path = workspace["tmp"] / "spec2.json"
-        save_spec_set(demo_spec_set("clitest2", "1.0.0", counts=SMALL_COUNTS), spec_path)
+        spec_doc = demo_spec_doc("clitest2", "1.0.0", counts=SMALL_COUNTS)
+        spec_path.write_text(json.dumps(spec_doc), encoding="utf-8")
         dataset = workspace["dataset"]
         assert main(["gen-dataset", "--spec", str(spec_path), "--out", str(dataset), "--seed", "6"]) == 0
         calls = []
@@ -803,7 +850,7 @@ def readme_workspace(tmp_path_factory):
     report.json made from it."""
     root = tmp_path_factory.mktemp("readme")
     spec_path = root / "spec.json"
-    save_spec_set(demo_spec_set("readme", "1.0.0", counts=SMALL_COUNTS), spec_path)
+    spec_path.write_text(json.dumps(demo_spec_doc("readme", "1.0.0", counts=SMALL_COUNTS)), encoding="utf-8")
     dataset = root / "dataset"
     code, _ = run_main("gen-dataset", "--spec", str(spec_path), "--out", str(dataset))
     assert code == 0

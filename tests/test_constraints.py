@@ -16,6 +16,7 @@ from confval.constraints import (
     DependencyConstraint,
     DependencyKind,
     ParameterSpec,
+    SpecSet,
     Subcategory,
     ValueKind,
     VersionChange,
@@ -24,15 +25,13 @@ from confval.constraints import (
     check_dependency,
     load_spec_set,
     oracle_validate,
-    save_spec_set,
     spec_set_from_dict,
-    spec_set_to_dict,
     value_violation,
 )
 from confval.errors import ConfvalError, DependencyEvalError, SpecError, UnknownParameterError
 from confval.misconfig_gen import _draw_valid, _invalid_candidates
 
-from conftest import demo_spec_set, six_project_specs
+from conftest import demo_spec_doc, demo_spec_set, six_project_specs
 
 
 def spec(kind, name="demo.param", **kw):
@@ -276,22 +275,8 @@ class TestCheckDependency:
             check_dependency(relation, file, spec_set)
 
 
-def test_spec_document_round_trip(tmp_path):
-    specs = demo_spec_set("roundtrip", "4.2.0")
-    path = tmp_path / "spec.json"
-    save_spec_set(specs, path)
-    again = load_spec_set(path)
-    assert again.project == specs.project
-    assert again.version == specs.version
-    assert set(again.parameters) == set(specs.parameters)
-    assert again.dependencies == specs.dependencies
-    assert again.version_changes == specs.version_changes
-    for name, parameter in specs.parameters.items():
-        assert again.parameters[name] == parameter
-
-
 def test_lone_surrogate_in_spec_text_is_a_spec_error():
-    doc = spec_set_to_dict(demo_spec_set("surrogate", "1.0.0"))
+    doc = demo_spec_doc("surrogate", "1.0.0")
     doc["parameters"][0]["description"] = "bad \ud800 text"
     with pytest.raises(SpecError, match="surrogates not allowed"):
         spec_set_from_dict(doc)
@@ -301,10 +286,37 @@ def test_lone_surrogate_in_spec_text_is_a_spec_error():
     "name, message", [("", "empty parameter name"), ("a\nb", "line break"), ("a\rb", "line break")]
 )
 def test_parameter_name_no_config_file_can_hold_is_a_spec_error(name, message):
-    doc = spec_set_to_dict(demo_spec_set("badname", "1.0.0"))
+    doc = demo_spec_doc("badname", "1.0.0")
     doc["parameters"][0]["name"] = name
     with pytest.raises(SpecError, match=message):
         spec_set_from_dict(doc)
+
+
+class TestSpecSetRefusals:
+    """A spec set holds each parameter under its own name and relates only
+    parameters it holds."""
+
+    @pytest.mark.parametrize("operand", ["p1", "p2"])
+    def test_dependency_on_an_unknown_parameter(self, spec_set, operand):
+        dependency = replace(spec_set.dependencies[0], **{operand: "stormdb.nowhere"})
+        with pytest.raises(ValueError, match="unknown parameter: stormdb.nowhere"):
+            SpecSet("stormdb", "2.1.0", ConfigFormat.XML, spec_set.parameters, (dependency,))
+        doc = demo_spec_doc()
+        doc["dependencies"][0][operand] = "stormdb.nowhere"
+        with pytest.raises(SpecError, match="unknown parameter: stormdb.nowhere"):
+            spec_set_from_dict(doc)
+
+    def test_parameter_held_under_another_name(self, spec_set):
+        parameters = dict(spec_set.parameters)
+        parameters["stormdb.alias"] = parameters.pop("stormdb.node.label.0")
+        with pytest.raises(ValueError, match="'stormdb.node.label.0' is held under the name 'stormdb.alias'"):
+            SpecSet("stormdb", "2.1.0", ConfigFormat.XML, parameters)
+
+    def test_stores_tuples(self, spec_set):
+        again = SpecSet("stormdb", "2.1.0", ConfigFormat.XML, spec_set.parameters,
+                        list(spec_set.dependencies), list(spec_set.version_changes))
+        assert again == spec_set
+        assert type(again.dependencies) is type(again.version_changes) is tuple
 
 
 def test_checked_specs_compare_hash_and_pickle_as_fresh_ones(spec_set):

@@ -13,16 +13,17 @@ from confval.constraints import (
     DependencyConstraint,
     DependencyKind,
     ParameterSpec,
+    SpecSet,
     Subcategory,
     ValueKind,
     assign_subcategories,
-    build_spec_set,
     oracle_validate,
     value_violation,
 )
 from confval.errors import GenerationError, SpecError
 from confval.misconfig_gen import (
     Label,
+    LabeledFile,
     build_dataset,
     generate_invalid_value,
     generate_valid_value,
@@ -163,7 +164,7 @@ class TestInjectDependency:
                 DependencyKind.CONTROL, "demo.flag", "demo.gated", Comparator.EQ, "true"
             ),
         ]
-        return build_spec_set("demo", "1.0", ConfigFormat.XML, params, deps)
+        return SpecSet("demo", "1.0", ConfigFormat.XML, {p.name: p for p in params}, deps)
 
     def _inject(self, specs, subcat, parameter, seed):
         # every parameter has a dependency, so no companions pad the pair
@@ -400,6 +401,13 @@ class TestCorpusOnDisk:
         (project_dir / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SpecError, match=rf"files\[{index}\]: missing key '{key}'"):
             load_dataset(project_dir)
+
+    @pytest.mark.parametrize("bucket", [None, Subcategory.SYNTAX_URL])
+    def test_misconfig_file_refuses_a_bucket_not_its_faults(self, dataset, bucket):
+        """So write_dataset cannot write a row that load_dataset refuses."""
+        lf = next(lf for lf in dataset.eval_set if lf.injected and lf.bucket is not Subcategory.SYNTAX_URL)
+        with pytest.raises(ValueError, match=f"contradicts subcategory '{lf.injected.subcategory.value}'"):
+            LabeledFile(lf.file, lf.label, lf.injected, bucket=bucket)
 
     def test_injected_parameter_missing_from_its_file_names_the_row(self, spec_set, dataset, tmp_path):
         project_dir = write_dataset(dataset, tmp_path, spec_set)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -496,6 +497,21 @@ def drive(file_vote, texts, rng=None):
         return file_vote.verdict("t"), calls
     except ValidationFailedError:
         return None, calls
+
+
+def test_huge_retry_bound_costs_only_the_retries_earned():
+    """A retry is booked once a discard earns it: a bound of 10**9 builds in
+    bounded memory, and a slot may still retry past the attempts booked so far."""
+    tracemalloc.start()
+    try:
+        file_vote = FileVote(PipelineSettings(num_queries=2, retry_bound=10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    verdict, calls = drive(file_vote, [MALFORMED_TEXT] * 5 + [valid_answer().to_json()] * 2)
+    assert (verdict.canonical_key, verdict.tally, verdict.discarded_count, calls) == ((False, ()), 1, 5, 6)
+    assert len(file_vote.waiting) <= 1 + 5  # one list slot per attempt a discard reached
 
 
 def strict_margin_wave(tally, open_slots):

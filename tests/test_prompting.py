@@ -50,7 +50,7 @@ def misconfig_shot(project="demo", names=("a", "b"), flagged="a", subcat=Subcate
 class TestShot:
     def test_misconfig_shot_must_flag_injected(self):
         fault = InjectedFault("a", Subcategory.RANGE_PORT, "too big")
-        labeled = LabeledFile(small_file(), Label.MISCONFIG, fault)
+        labeled = LabeledFile(small_file(), Label.MISCONFIG, fault, bucket=Subcategory.RANGE_PORT)
         shot = shot_from_labeled(labeled)
         assert shot.ground_truth_answer.errParameter == ("a",)
 
