@@ -186,6 +186,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = FrameworkConfig.from_file(args.config)
     settings, backend, shot_db, datasets = _set_up(cfg, args.seed, args.dataset)
     eval_total = sum(len(split.eval_set) for split in datasets.values())
+    if args.sweep and args.max_shots > len(shot_db):
+        # a combination of more shots than the database holds fails on every file
+        raise ConfvalError(f"--max-shots {args.max_shots} exceeds the {len(shot_db)} shots in the shot database")
     _progress(f"evaluating {eval_total} files from {len(datasets)} project(s)")
     if args.sweep:
         sweep = run_sweep(datasets, backend, shot_db, settings, max_shots=args.max_shots, jobs=args.jobs)
@@ -230,7 +233,7 @@ def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
                 f"{metrics['recall']:>7.3f} {metrics['f1']:>6.3f}"
             )
     lines += ["", f"{'subcategory':<28} {'micro F1':>8}"]
-    lines += [f"{slug:<28} {value:>8.3f}" for slug, value in report.micro_f1_subcategory.items()]
+    lines += [f"{slug:<28} {value:>8.3f}" for slug, value in report.micro_f1_by_subcategory.items()]
     lines += ["", f"{'bucket':<10} {'param F1':>8}"]
     lines += [f"{label:<10} {value:>8.3f}" for label, value in report.f1_by_param_count.items()]
     return lines, report

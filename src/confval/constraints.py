@@ -236,7 +236,10 @@ _KIND_RULES = {
 
 @dataclass(frozen=True)
 class ParameterSpec:
-    """The correctness spec of one parameter."""
+    """The correctness spec of one parameter. __post_init__ also sets rule (the
+    kind's KindRule), bounds (the range a numeric value must fall in: its own,
+    else its kind's) and syntax_match (what a well-formed value matches, if
+    anything); none is a field, so none takes part in ==, hash or repr."""
 
     name: str
     kind: ValueKind
@@ -253,37 +256,24 @@ class ParameterSpec:
             raise ValueError(f"{self.name}: enum kind requires options")
         if self.kind is ValueKind.NUMBER_WITH_UNIT and not self.units:
             raise ValueError(f"{self.name}: number_with_unit kind requires units")
+        rule = _KIND_RULES[self.kind]
         if self.numeric_range is not None:
             lo, hi = self.numeric_range
             if lo > hi:
                 raise ValueError(f"{self.name}: empty numeric range [{lo}, {hi}]")
-            bounds = self.rule.bounds
-            if bounds is None:
+            if rule.bounds is None:
                 raise ValueError(f"{self.name}: numeric_range not applicable to {self.kind.value}")
-            if not (bounds[0] <= lo and hi <= bounds[1]):
-                raise ValueError(f"{self.name}: range must stay within {list(bounds)}")
-        # Stored here in one order for every spec: instances that gain these
-        # attributes in different orders stop sharing their dict keys, which
-        # cost about 600 bytes a spec.
-        self.rule, self.bounds, self.syntax_match
-
-    @frozen_cached_property
-    def rule(self) -> KindRule:
-        return _KIND_RULES[self.kind]
-
-    @frozen_cached_property
-    def bounds(self) -> tuple[float, float] | None:
-        """The range a numeric value must fall in: the spec's own, else its kind's
-        (None for a kind whose value is not one number)."""
-        return self.rule.bounds if self.numeric_range is None else self.numeric_range
-
-    @frozen_cached_property
-    def syntax_match(self) -> Callable[[str], object] | None:
-        """What a well-formed value matches; None when any text is well-formed."""
-        if self.kind is not ValueKind.NUMBER_WITH_UNIT:
-            return self.rule.shape
-        alts = "|".join(re.escape(u) for u in self.units)
-        return re.compile(r"^[+-]?(\d+\.?\d*|\.\d+) ?(" + alts + r")$").match
+            if not (rule.bounds[0] <= lo and hi <= rule.bounds[1]):
+                raise ValueError(f"{self.name}: range must stay within {list(rule.bounds)}")
+        syntax_match = rule.shape
+        if self.kind is ValueKind.NUMBER_WITH_UNIT:
+            alts = "|".join(re.escape(u) for u in self.units)
+            syntax_match = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+) ?(" + alts + r")$").match
+        # in one order for every spec: instances that gain attributes in other
+        # orders stop sharing their dict keys, at about 600 bytes a spec
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "bounds", rule.bounds if self.numeric_range is None else self.numeric_range)
+        object.__setattr__(self, "syntax_match", syntax_match)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Iterable
 
 from .backend import Backend
@@ -28,11 +27,6 @@ from .prompting import ShotDatabase, enumerate_shot_combinations
 
 REPORT_SCHEMA_VERSION = 1
 BUCKET_EDGES = (4, 8, 16, 32)
-
-
-class Level(Enum):
-    FILE = "file"
-    PARAMETER = "parameter"
 
 
 @dataclass(frozen=True)
@@ -62,6 +56,17 @@ def recall(cm: ConfusionMatrix) -> float:
 def f1(cm: ConfusionMatrix) -> float:
     p, r = precision(cm), recall(cm)
     return 2 * p * r / (p + r) if p + r else 0.0
+
+
+# a report level's ratios by name, then its confusion counts; the levels in order
+_RATIO_OF = {"precision": precision, "recall": recall, "f1": f1}
+_COUNTS = [count.name for count in fields(ConfusionMatrix)]
+_LEVELS = ("file", "parameter")
+
+
+def _level_metrics(cm: ConfusionMatrix) -> dict[str, float]:
+    ratios = {name: ratio(cm) for name, ratio in _RATIO_OF.items()}
+    return {**ratios, **{name: getattr(cm, name) for name in _COUNTS}}
 
 
 def macro_average(values: list[float]) -> float:
@@ -162,8 +167,7 @@ def bucket_by_param_count(results: list[ScoredFile]) -> dict[str, float]:
     return {bucket: f1(param_cm) for bucket, (_, param_cm) in pooled.items()}
 
 
-# the JSON types of each report key; every key but schema_version and failures
-# must be present
+# the JSON types of each report key: schema_version, then MetricsReport's fields
 _REPORT_KEYS = {
     "schema_version": (int,),
     "per_project": (dict,),
@@ -176,69 +180,46 @@ _REPORT_KEYS = {
 _NUMBER = (int, float)
 # what one level of a report holds: the ratios alone for the macro average,
 # with the confusion counts for a project
-_RATIOS = {"precision": _NUMBER, "recall": _NUMBER, "f1": _NUMBER}
-_LEVEL_METRICS = {**_RATIOS, "tp": (int,), "fp": (int,), "tn": (int,), "fn": (int,)}
-_LEVELS = {level.value: (dict,) for level in Level}
+_RATIOS = dict.fromkeys(_RATIO_OF, _NUMBER)
+_LEVEL_METRICS = {**_RATIOS, **dict.fromkeys(_COUNTS, (int,))}
 
 
 def _check_levels(doc: dict, metrics: dict[str, tuple], what: str) -> None:
-    for level, values in complete(doc, _LEVELS, what).items():
+    for level, values in complete(doc, dict.fromkeys(_LEVELS, (dict,)), what).items():
         complete(values, metrics, f"{what}[{level!r}]")
 
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """One evaluate report; each field is the report key of its name."""
+
     per_project: dict[str, dict[str, dict[str, float]]]
     macro: dict[str, dict[str, float]]
-    micro_f1_subcategory: dict[str, float]
+    micro_f1_by_subcategory: dict[str, float]
     f1_by_param_count: dict[str, float]
     files_scored: int
-    failures: tuple[dict, ...] = field(default_factory=tuple)
+    failures: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "per_project": self.per_project,
-            "macro": self.macro,
-            "micro_f1_by_subcategory": self.micro_f1_subcategory,
-            "f1_by_param_count": self.f1_by_param_count,
-            "files_scored": self.files_scored,
-            "failures": list(self.failures),
-        }
+        doc = {key.name: getattr(self, key.name) for key in fields(self)}
+        return {"schema_version": REPORT_SCHEMA_VERSION, **doc, "failures": list(self.failures)}
 
     @classmethod
     def from_dict(cls, doc: object) -> "MetricsReport":
-        """Inverse of to_dict. Raises KeyError for a missing top-level key,
-        SpecError for an unknown key, a missing metric or level, or a part of
-        the wrong JSON type at any depth (a bool is no number), and
-        SchemaVersionError for a report of another schema."""
-        checked(doc, _REPORT_KEYS, "report")
+        """Inverse of to_dict. Raises SpecError for a missing or unknown key,
+        a missing metric or level, or a part of the wrong JSON type at any
+        depth (a bool is no number), and SchemaVersionError for a report of
+        another schema."""
+        # every field but failures must be in a report
+        required = [key.name for key in fields(cls) if key.default is MISSING]
+        complete(doc, _REPORT_KEYS, "report", required)
         check_schema_version(doc, REPORT_SCHEMA_VERSION, "report")
         for project, levels in doc["per_project"].items():
             _check_levels(levels, _LEVEL_METRICS, f"report per_project[{project!r}]")
         _check_levels(doc["macro"], _RATIOS, "report macro")
         for key in ("micro_f1_by_subcategory", "f1_by_param_count"):
             checked(doc[key], dict.fromkeys(doc[key], _NUMBER), f"report {key}")
-        return cls(
-            per_project=doc["per_project"],
-            macro=doc["macro"],
-            micro_f1_subcategory=doc["micro_f1_by_subcategory"],
-            f1_by_param_count=doc["f1_by_param_count"],
-            files_scored=doc["files_scored"],
-            failures=tuple(doc.get("failures", ())),
-        )
-
-
-def _level_metrics(cm: ConfusionMatrix) -> dict[str, float]:
-    return {
-        "precision": precision(cm),
-        "recall": recall(cm),
-        "f1": f1(cm),
-        "tp": cm.tp,
-        "fp": cm.fp,
-        "tn": cm.tn,
-        "fn": cm.fn,
-    }
+        return cls(**{key: doc[key] for key in required}, failures=tuple(doc.get("failures", ())))
 
 
 def build_report(results: list[ScoredFile], failures: list[dict] = ()) -> MetricsReport:
@@ -259,7 +240,7 @@ def build_report(results: list[ScoredFile], failures: list[dict] = ()) -> Metric
     return MetricsReport(
         per_project=per_project,
         macro=macro,
-        micro_f1_subcategory=micro_f1_by_subcategory(results),
+        micro_f1_by_subcategory=micro_f1_by_subcategory(results),
         f1_by_param_count=bucket_by_param_count(results),
         files_scored=len(results),
         failures=tuple(failures),
@@ -283,7 +264,7 @@ def report_csv_tables(report: MetricsReport) -> dict[str, str]:
     )
     return {
         "per_project": _csv(["project", "level", *_LEVEL_METRICS], per_project),
-        "subcategory_f1": _csv(["subcategory", "micro_f1"], report.micro_f1_subcategory.items()),
+        "subcategory_f1": _csv(["subcategory", "micro_f1"], report.micro_f1_by_subcategory.items()),
         "param_count_f1": _csv(["bucket", "f1"], report.f1_by_param_count.items()),
     }
 

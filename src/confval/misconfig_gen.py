@@ -583,7 +583,7 @@ def load_dataset(project_dir: str | Path) -> tuple[str, DatasetSplit]:
 
 
 def _read_dataset(manifest_path: Path) -> tuple[str, DatasetSplit]:
-    from .config_model import load_config_file  # local import keeps module load light
+    from .config_model import load_config_file  # per call, so a patch of config_model's name applies
 
     project_dir = manifest_path.parent
     what = f"dataset manifest {manifest_path}"

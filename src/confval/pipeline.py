@@ -48,6 +48,8 @@ from .responses import ValidationResponse, parse_response, valid_answer, validat
 from .textsim import dominant_representative
 
 DEFAULT_NUM_QUERIES = 10
+# a hundred times the paper's 10; each slot costs memory up front
+MAX_NUM_QUERIES = 1000
 DEFAULT_RETRY_BOUND = 3
 
 Key = tuple[bool, tuple[str, ...]]
@@ -154,8 +156,8 @@ class PipelineSettings:
     question_template: str = DEFAULT_QUESTION_TEMPLATE
 
     def __post_init__(self):
-        if self.num_queries < 1:
-            raise ValueError("num_queries must be at least 1")
+        if not 1 <= self.num_queries <= MAX_NUM_QUERIES:
+            raise ValueError(f"num_queries must be within [1, {MAX_NUM_QUERIES}], got {self.num_queries}")
         if self.retry_bound < 0:
             raise ValueError("retry_bound must be non-negative")
 
@@ -198,10 +200,10 @@ class FileVote:
 
     def __init__(self, settings: PipelineSettings):
         self.settings = settings
-        # open slots by the attempt they make next, one more attempt as a discard
-        # first earns it; a wave takes slots of one attempt only, so which
+        # the open slots of the current attempt, and the retries a discard has
+        # earned the next one; a wave takes slots of one attempt only, so which
         # thread's call served which slot cannot matter
-        self.waiting = [settings.num_queries]
+        self.open, self.earned = settings.num_queries, 0
         self.attempt = self.discarded = self.backend_failures = 0
         self.accepted: list[ValidationResponse] = []
         self.tally: Counter = Counter()
@@ -209,12 +211,13 @@ class FileVote:
 
     def next_wave(self) -> int:
         """Take the next settling wave's slots, all of one attempt; 0 when none."""
-        open_slots = sum(self.waiting)
+        open_slots = self.open + self.earned
         wave = open_slots and _settling_wave(self.tally, open_slots)
         if wave:
-            self.attempt = next(a for a, count in enumerate(self.waiting) if count)
-            wave = min(wave, self.waiting[self.attempt])
-            self.waiting[self.attempt] -= wave
+            if not self.open:  # the current attempt is spent: roll over to the next
+                self.attempt, self.open, self.earned = self.attempt + 1, self.earned, 0
+            wave = min(wave, self.open)
+            self.open -= wave
         return wave
 
     def add(self, results: list[str | BackendError]) -> None:
@@ -228,9 +231,7 @@ class FileVote:
             if reading is None:
                 self.discarded += 1
                 if self.attempt < self.settings.retry_bound:
-                    if self.attempt + 1 == len(self.waiting):
-                        self.waiting.append(0)
-                    self.waiting[self.attempt + 1] += 1
+                    self.earned += 1
             else:
                 accepted.append(reading)
                 tally[reading.canonical_key()] += 1

@@ -148,6 +148,9 @@ class ShotDatabase:
     def pool(self, project: str, label: Label) -> list[Shot]:
         return list(self.pools(project, label)[0])
 
+    def __len__(self) -> int:
+        return sum(len(self._pools[None, label][1]) for label in Label)
+
     def pools(self, project: str, label: Label) -> tuple[tuple[Shot, ...], tuple[Shot, ...]]:
         """The project's own shots of a label, then every other project's
         together, in project order."""

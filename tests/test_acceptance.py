@@ -289,7 +289,7 @@ def test_perfect_mock_identity(pipeline_fixture):
             assert levels[level]["f1"] == 1.0, (project, level)
     assert report.macro["file"]["f1"] == 1.0
     assert report.macro["parameter"]["f1"] == 1.0
-    assert all(value == 1.0 for value in report.micro_f1_subcategory.values())
+    assert all(value == 1.0 for value in report.micro_f1_by_subcategory.values())
     assert elapsed < 60.0
     _pass(
         "perfect-mock identity",

@@ -18,6 +18,7 @@ import confval.prompting
 from confval.cli import main
 from confval.constraints import Category, Subcategory, ValueKind
 from confval.misconfig_gen import Label
+from confval.pipeline import MAX_NUM_QUERIES
 
 from conftest import demo_spec_doc
 
@@ -274,6 +275,30 @@ class TestEvaluate:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["sweep"]) == 6  # 0..2 shots: 1 + 2 + 3 combinations
 
+    def test_sweep_past_the_shot_database_exits_two(self, workspace, capsys, monkeypatch):
+        """Every combination of more shots than the shot database holds fails on
+        every file, so such a sweep is refused before it starts."""
+        shots = sum(row["split"] == "shot_pool" for row in manifest_rows(workspace["dataset"]))
+        asked, run_sweep = [], confval.cli.run_sweep
+
+        def recording_sweep(*args, **kwargs):
+            asked.append(kwargs["max_shots"])
+            return run_sweep(*args, **{**kwargs, "max_shots": 0})
+
+        monkeypatch.setattr(confval.cli, "run_sweep", recording_sweep)
+        config = write_config(workspace["tmp"])
+        argv = ["evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config), "--sweep"]
+        for max_shots in (shots + 1, 100_000):
+            assert main([*argv, "--max-shots", str(max_shots)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error: --max-shots {max_shots} exceeds the {shots} shots in the shot database"
+            ]
+            assert captured.out == ""
+        assert asked == []
+        assert main([*argv, "--max-shots", str(shots)]) == 0
+        assert asked == [shots]
+
     def test_full_sweep_combination_count(self, workspace):
         from confval.prompting import enumerate_shot_combinations
 
@@ -338,6 +363,14 @@ class TestExitCodeContract:
     def test_temperature_out_of_range(self, workspace):
         result = self._evaluate(workspace, temperature=5)
         self._assert_operational_error(result, "temperature")
+
+    @pytest.mark.parametrize("num_queries", [0, MAX_NUM_QUERIES + 1, 10**9])
+    def test_num_queries_out_of_range(self, workspace, num_queries):
+        result = self._evaluate(workspace, num_queries=num_queries)
+        self._assert_operational_error(
+            result, f"num_queries must be within [1, {MAX_NUM_QUERIES}], got {num_queries}"
+        )
+        assert len(result.stderr.splitlines()) == 1
 
     def test_missing_question_template(self, workspace):
         missing = workspace["tmp"] / "no-such-question.txt"
@@ -601,6 +634,8 @@ class TestFrameworkConfig:
 
         cfg = FrameworkConfig.from_file(write_config(tmp_path, num_queries=10))
         assert cfg.settings.num_queries == 10
+        cfg = FrameworkConfig.from_file(write_config(tmp_path, num_queries=MAX_NUM_QUERIES))
+        assert cfg.settings.num_queries == MAX_NUM_QUERIES
         assert cfg.backend_config.temperature == 0.2
         assert cfg.settings.combination.valid_count == 1
         assert cfg.settings.combination.misconfig_count == 3
@@ -1038,10 +1073,14 @@ class TestBoundaryFuzz:
 
     @pytest.mark.parametrize("key", REPORT_KEYS)
     def test_report_without_required_key_exits_two(self, readme_workspace, monkeypatch, key):
+        """A report without the key, alone or as a sweep's entry."""
         monkeypatch.chdir(readme_workspace)
-        code, err = self._report(lambda doc: {k: v for k, v in doc.items() if k != key})
-        assert code == 2
-        assert "error:" in err
+        for wrap in (lambda doc: doc, lambda doc: {"schema_version": 1, "sweep": {"0v1m": doc}}):
+            code, err = self._report(lambda doc: wrap({k: v for k, v in doc.items() if k != key}))
+            assert code == 2
+            (line,) = err.splitlines()
+            assert line.startswith("error: malformed report mutated.json: SpecError")
+            assert f"missing key '{key}'" in line
 
     @pytest.mark.parametrize("csv", [False, True], ids=["table", "csv"])
     @pytest.mark.parametrize("section", ["per_project", "micro_f1_by_subcategory", "f1_by_param_count"])

@@ -294,6 +294,21 @@ class TestAggregation:
         with pytest.raises(SpecError, match="must be a JSON"):
             MetricsReport.from_dict(mutate(doc))
 
+    @pytest.mark.parametrize(
+        "key", ["per_project", "macro", "micro_f1_by_subcategory", "f1_by_param_count", "files_scored"]
+    )
+    def test_from_dict_names_a_missing_key(self, key):
+        doc = build_report(self._scored()).to_dict()
+        del doc[key]
+        with pytest.raises(SpecError, match=f"^report: missing key '{key}'$"):
+            MetricsReport.from_dict(doc)
+
+    def test_only_schema_version_and_failures_may_be_absent(self):
+        report = build_report(self._scored())
+        doc = report.to_dict()
+        del doc["schema_version"], doc["failures"]
+        assert MetricsReport.from_dict(doc) == report
+
     def test_empty_subcategory_absent(self):
         truth = labeled_file()
         results = [scored_from(verdict_flagging([], truth), truth)]
@@ -348,7 +363,7 @@ class TestRunEvaluation:
         assert macro["parameter"]["f1"] == 1.0
         assert report.failures == ()
         assert report.files_scored == sum(len(d.eval_set) for d in datasets.values())
-        assert all(value == 1.0 for value in report.micro_f1_subcategory.values())
+        assert all(value == 1.0 for value in report.micro_f1_by_subcategory.values())
 
     def test_parallel_jobs_agree_with_serial(self, echo_setup):
         datasets, _, shot_db = echo_setup

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import confval.config_model
 import confval.misconfig_gen
 from confval.config_model import ConfigFormat
 from confval.constraints import (
@@ -342,6 +343,21 @@ class TestCorpusOnDisk:
             for lf in split.shot_pool + split.eval_set
         ]
         assert key(again) == key(dataset)
+
+    def test_each_file_is_read_through_the_config_model_name(self, spec_set, dataset, tmp_path, monkeypatch):
+        """The benchmark times corpus reads by patching
+        confval.config_model.load_config_file; load_dataset reads every listed
+        file through that name."""
+        project_dir = write_dataset(dataset, tmp_path, spec_set)
+        load, paths = confval.config_model.load_config_file, []
+
+        def counting_load(path, *args):
+            paths.append(path)
+            return load(path, *args)
+
+        monkeypatch.setattr(confval.config_model, "load_config_file", counting_load)
+        _, again = load_dataset(project_dir)
+        assert len(paths) == len(again.shot_pool) + len(again.eval_set) > 0
 
     def test_tree_layout(self, spec_set, dataset, tmp_path):
         project_dir = write_dataset(dataset, tmp_path, spec_set)
