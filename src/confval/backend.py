@@ -12,7 +12,7 @@ Concurrency has one owner: each backend gets one request pool, and every
 request holds one of its config.max_parallel permits, so the cap holds across
 all `evaluate --jobs` workers. While requests wait (wall minus CPU time > CPU
 time), pool threads run each batch's drain tasks first in, first out; else
-the caller asks the slots itself, as threads cannot overlap GIL-bound work.
+the caller asks each slot in turn, as threads cannot overlap GIL-bound work.
 
 `requests` is imported only by HttpBackend, so offline runs never load it.
 """
@@ -89,7 +89,7 @@ _pools_lock = threading.Lock()
 
 
 class _Batch:
-    """One query_batch call: results, slot counter, pending drain tasks, completion signal."""
+    """One pooled query_batch call: results, slot counter, pending drain tasks, completion signal."""
 
     def __init__(self, backend: Backend, prompt: Prompt, count: int):
         self.backend, self.prompt, self.results = backend, prompt, [None] * count
@@ -103,18 +103,10 @@ class _Batch:
                 slot, self.next_slot = self.next_slot, self.next_slot + 1
             if slot >= len(self.results):
                 return None
-            try:  # a permit is held by every request in flight
-                permit = pool.permits.get_nowait()
-            except queue.Empty:
-                permit = pool.mint_or_wait()
             try:
-                self.results[slot] = ask(self.backend, self.prompt)
-            except BackendError as exc:
-                self.results[slot] = exc
+                self.results[slot] = pool.request(ask, self.backend, self.prompt)
             except BaseException as exc:  # handed to the caller; the thread lives on
                 return exc
-            finally:
-                pool.permits.put(permit)
 
 
 class _RequestPool:
@@ -135,6 +127,19 @@ class _RequestPool:
                 self.minted += 1
                 return self.minted
         return self.permits.get()
+
+    def request(self, ask: Callable[[Backend, Prompt], str], backend: Backend, prompt: Prompt) -> str | BackendError:
+        """ask's completion, or its BackendError, under a permit; any other exception propagates."""
+        try:  # a permit is held by every request in flight
+            permit = self.permits.get_nowait()
+        except queue.Empty:
+            permit = self.mint_or_wait()
+        try:
+            return ask(backend, prompt)
+        except BackendError as exc:
+            return exc
+        finally:
+            self.permits.put(permit)
 
     def note(self, wall: float, cpu: float) -> None:  # requests begun at (perf_counter, thread_time)
         cpu = time.thread_time() - cpu
@@ -198,21 +203,23 @@ def query_batch(backend: Backend, prompt: Prompt, count: int) -> list[str | Back
     measured waited (blocked longer than it ran), as is assumed for a first batch, the
     batch queues min(count, max_parallel) drain tasks for the pool's threads, first in,
     first out, and blocks until the last one finishes. Otherwise the caller asks the
-    slots itself and times them for the next batch. A failed slot holds its
-    BackendError; callers decide how to treat partial failure. Any other exception
+    slots itself in a plain loop and times them for the next batch. A failed slot holds
+    its BackendError; callers decide how to treat partial failure. Any other exception
     reaches the caller at once; no further slot is issued, though slots already in
     flight on pool threads run to completion.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    pool, batch = _request_pool(backend), _Batch(backend, prompt, count)
-    if pool.waits:
-        pool.submit(batch, batch.pending)
-        batch.done.acquire()
-    else:
+    pool = _request_pool(backend)
+    if not pool.waits:
         wall, cpu = time.perf_counter(), time.thread_time()
-        batch.error = batch.drain(pool, query)
-        pool.note(wall, cpu)
+        try:
+            return [pool.request(query, backend, prompt) for _ in range(count)]
+        finally:
+            pool.note(wall, cpu)
+    batch = _Batch(backend, prompt, count)
+    pool.submit(batch, batch.pending)
+    batch.done.acquire()
     if batch.error is not None:
         raise batch.error
     return batch.results

@@ -25,7 +25,7 @@ from .backend import Backend, BackendConfig, HttpBackend, MockBackend, MockBehav
 from .config_model import load_config_file
 from .errors import ConfvalError, SpecError, checked, read_document
 from .evaluation import REPORT_SCHEMA_VERSION, MetricsReport, report_csv_tables, run_evaluation, run_sweep
-from .misconfig_gen import DatasetSplit, build_dataset, write_dataset
+from .misconfig_gen import DatasetSplit, Label, build_dataset, write_dataset
 from .pipeline import PipelineSettings, validate_file
 from .prompting import (
     DEFAULT_COMBINATION,
@@ -186,9 +186,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = FrameworkConfig.from_file(args.config)
     settings, backend, shot_db, datasets = _set_up(cfg, args.seed, args.dataset)
     eval_total = sum(len(split.eval_set) for split in datasets.values())
-    if args.sweep and args.max_shots > len(shot_db):
-        # a combination of more shots than the database holds fails on every file
-        raise ConfvalError(f"--max-shots {args.max_shots} exceeds the {len(shot_db)} shots in the shot database")
+    fewest, scarce = min((shot_db.count(label), label.value) for label in Label)
+    if args.sweep and args.max_shots > fewest:
+        # a combination of more shots of one label than the database holds fails on every file
+        raise ConfvalError(f"--max-shots {args.max_shots} exceeds the {fewest} {scarce} shots in the shot database")
     _progress(f"evaluating {eval_total} files from {len(datasets)} project(s)")
     if args.sweep:
         sweep = run_sweep(datasets, backend, shot_db, settings, max_shots=args.max_shots, jobs=args.jobs)
@@ -218,7 +219,7 @@ def _render_report(doc: dict) -> tuple[list[str], MetricsReport | None]:
         sweep = checked(doc, _SWEEP_KEYS, "sweep document")["sweep"]
         lines = [f"{'combination':<12} {'file F1':>8} {'param F1':>9} {'files':>6}"]
         for label, entry in sorted(sweep.items()):
-            report = MetricsReport.from_dict(entry)
+            report = MetricsReport.from_dict(entry, f"sweep[{label!r}]")
             lines.append(
                 f"{label:<12} {report.macro['file']['f1']:>8.3f} "
                 f"{report.macro['parameter']['f1']:>9.3f} {report.files_scored:>6}"

@@ -205,20 +205,20 @@ class MetricsReport:
         return {"schema_version": REPORT_SCHEMA_VERSION, **doc, "failures": list(self.failures)}
 
     @classmethod
-    def from_dict(cls, doc: object) -> "MetricsReport":
-        """Inverse of to_dict. Raises SpecError for a missing or unknown key,
-        a missing metric or level, or a part of the wrong JSON type at any
-        depth (a bool is no number), and SchemaVersionError for a report of
-        another schema."""
+    def from_dict(cls, doc: object, what: str = "report") -> "MetricsReport":
+        """Inverse of to_dict. Raises SpecError, naming the report as what, for
+        a missing or unknown key, a missing metric or level, or a part of the
+        wrong JSON type at any depth (a bool is no number), and
+        SchemaVersionError for a report of another schema."""
         # every field but failures must be in a report
         required = [key.name for key in fields(cls) if key.default is MISSING]
-        complete(doc, _REPORT_KEYS, "report", required)
-        check_schema_version(doc, REPORT_SCHEMA_VERSION, "report")
+        complete(doc, _REPORT_KEYS, what, required)
+        check_schema_version(doc, REPORT_SCHEMA_VERSION, what)
         for project, levels in doc["per_project"].items():
-            _check_levels(levels, _LEVEL_METRICS, f"report per_project[{project!r}]")
-        _check_levels(doc["macro"], _RATIOS, "report macro")
+            _check_levels(levels, _LEVEL_METRICS, f"{what} per_project[{project!r}]")
+        _check_levels(doc["macro"], _RATIOS, f"{what} macro")
         for key in ("micro_f1_by_subcategory", "f1_by_param_count"):
-            checked(doc[key], dict.fromkeys(doc[key], _NUMBER), f"report {key}")
+            checked(doc[key], dict.fromkeys(doc[key], _NUMBER), f"{what} {key}")
         return cls(**{key: doc[key] for key in required}, failures=tuple(doc.get("failures", ())))
 
 

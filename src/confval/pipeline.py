@@ -21,9 +21,9 @@ settled. Every first attempt goes before any retry, and every k-th before any
 once); so an early-stopped run makes a prefix of that run's calls and, with
 answers that depend only on the call's position, votes for the same key.
 
-The vote counts a pool of answers and the reasons are clustered in sorted
-order, so neither depends on which thread served which slot, and parallel
-backends stay reproducible.
+The vote counts a pool of answers, tallied by the FileVote as waves come in,
+and the reasons are clustered in sorted order, so neither depends on which
+thread served which slot, and parallel backends stay reproducible.
 """
 
 from __future__ import annotations
@@ -101,15 +101,17 @@ class Verdict:
 
 
 def vote(
-    responses: list[ValidationResponse], *, discarded_count: int = 0, target_key: str = ""
+    responses: list[ValidationResponse], *, discarded_count: int = 0, target_key: str = "", tally: Counter | None = None
 ) -> Verdict:
-    """Frequency voting over canonical keys, order independent."""
+    """Frequency voting over canonical keys, order independent; a given tally must count those keys."""
     if not responses:
         raise ValueError("cannot vote over zero responses")
-    counts = Counter(r.canonical_key() for r in responses)
-    best = max(counts.values())
-    tied = [key for key, count in counts.items() if count == best]
-    winner = min(tied, key=_tie_rank)
+    counts = Counter(r.canonical_key() for r in responses) if tally is None else tally
+    if len(counts) == 1:
+        ((winner, best),) = counts.items()
+    else:
+        best = max(counts.values())
+        winner = min((key for key, count in counts.items() if count == best), key=_tie_rank)
     reasons = tuple(_reasons_for_key(responses, winner)) if winner[0] else ()
     return Verdict(
         canonical_key=winner,
@@ -172,22 +174,25 @@ def _settling_wave(tally: Counter, open_slots: int) -> int:
     valid key, which wins every tie, stands for every key, so the first wave
     is half the open slots, rounded up.
     """
-    keys = tally or (_VALID_KEY,)
-    return min(open_slots, *(_answers_to_settle(key, tally, open_slots) for key in keys))
+    wave = open_slots
+    for key in tally or (_VALID_KEY,):
+        wave = min(wave, _answers_to_settle(key, tally, open_slots))
+    return wave
 
 
 def _answers_to_settle(key: Key, tally: Counter, open_slots: int) -> int:
     """The fewest further answers, all for key, after which no rival could
     beat key or take a tie from it with every slot still open."""
     rank = _tie_rank(key)
-    rivals = [(count, _tie_rank(other) < rank) for other, count in tally.items() if other != key]
-    # the valid key wins every tie, so it also stands for every unseen key;
-    # a valid key's rival among the unseen keys has no votes and loses ties
-    rivals.append((tally[_VALID_KEY], True) if key != _VALID_KEY else (0, False))
-    behind = open_slots - tally[key]
-    # x answers settle key against a rival once count + open - x < votes + x,
-    # or == when key wins their tie
-    return max(0, *((count + behind + wins_tie + 1) // 2 for count, wins_tie in rivals))
+    # the strongest rival's votes, plus one if it wins their tie; the valid key
+    # wins every tie, so it also stands for every unseen key, and a valid key's
+    # rival among the unseen keys has no votes and loses ties
+    top = 0 if key == _VALID_KEY else tally[_VALID_KEY] + 1
+    for other, count in tally.items():
+        if other != key:
+            top = max(top, count + (_tie_rank(other) < rank))
+    # x answers settle key against that rival once top + open - x <= votes + x
+    return max(0, (top + open_slots - tally[key] + 1) // 2)
 
 
 class FileVote:
@@ -253,7 +258,7 @@ class FileVote:
                 f"no accepted response after {self.settings.num_queries} slots "
                 f"({self.discarded} discarded, {self.backend_failures} backend failures)"
             )
-        return vote(self.accepted, discarded_count=self.discarded, target_key=target_key)
+        return vote(self.accepted, discarded_count=self.discarded, target_key=target_key, tally=self.tally)
 
 
 def validate_file(

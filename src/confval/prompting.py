@@ -148,8 +148,8 @@ class ShotDatabase:
     def pool(self, project: str, label: Label) -> list[Shot]:
         return list(self.pools(project, label)[0])
 
-    def __len__(self) -> int:
-        return sum(len(self._pools[None, label][1]) for label in Label)
+    def count(self, label: Label) -> int:
+        return len(self._pools[None, label][1])  # every project's shots of the label
 
     def pools(self, project: str, label: Label) -> tuple[tuple[Shot, ...], tuple[Shot, ...]]:
         """The project's own shots of a label, then every other project's
@@ -285,24 +285,26 @@ def build_prompt(
 ) -> Prompt:
     """Assemble shot blocks (valid ones first), the target file, and the
     directive question."""
-    ordered = [s for s in shots if s.label is Label.VALID] + [
-        s for s in shots if s.label is Label.MISCONFIG
-    ]
-    blocks = []
+    valid = Label.VALID
+    ordered = [s for s in shots if s.labeled.label is valid] + [s for s in shots if s.labeled.label is not valid]
+    # the question is substituted once per (project, version), however many files share it
+    key = target.project, target.version
+    questions = {key: _question(question_template, *key)}
+    parts = []
     for i, shot in enumerate(ordered, start=1):
         file = shot.labeled.file
-        blocks.append(
-            f"### Configuration File Shot #{i}\n"
-            f"{shot.rendered_file}"
-            f"Q: {_question(question_template, file.project, file.version)}\n"
-            f"A: {shot.answer_json}"
+        key = file.project, file.version
+        if key not in questions:
+            questions[key] = _question(question_template, *key)
+        parts += (
+            f"### Configuration File Shot #{i}\n", shot.rendered_file,
+            "Q: ", questions[key], "\nA: ", shot.answer_json, "\n\n",
         )
-    blocks.append(
-        "### Configuration File\n"
-        f"{render_config(target, target.format)}"
-        f"Q: {_question(question_template, target.project, target.version)}"
+    parts += (
+        "### Configuration File\n", render_config(target, target.format),
+        "Q: ", questions[target.project, target.version],
     )
-    text = "\n\n".join(blocks)
+    text = "".join(parts)
     return Prompt(
         target=target,
         shots=tuple(ordered),

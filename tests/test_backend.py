@@ -625,19 +625,30 @@ class TestWaveDispatch:
         assert wait_until(lambda: self.batch(backend, monkeypatch)[2] == 0, seconds=5)
         assert not any(t.startswith("confval-request_") for t in backend.threads[-3:])
 
+    def test_inline_wave_builds_no_batch(self, monkeypatch):
+        backend = Switching(max_parallel=2)
+        pool = _request_pool(backend)
+        self.batch(backend, monkeypatch)
+        assert wait_until(lambda: not self.batch(backend, monkeypatch)[0] and not pool.waits, seconds=5)
+        monkeypatch.setattr(confval.backend, "_Batch", None)  # a wave that built one would raise
+        assert within_deadline(lambda: query_batch(backend, build_prompt(target_file(), []), 5)) == ["{}"] * 5
+
     def test_inline_foreign_error_returns_its_permit(self, monkeypatch):
         backend = Switching(max_parallel=1)
         pool = _request_pool(backend)
         self.batch(backend, monkeypatch)
         # an inline batch after which the flag still reads "does not wait", so the next is inline too
         assert wait_until(lambda: not self.batch(backend, monkeypatch)[0] and not pool.waits, seconds=5)
-        backend.failing = True
+        backend.failing = backend.slow = True
         seen = len(backend.threads)
         with pytest.raises(RuntimeError, match="backend bug"):
             query_batch(backend, build_prompt(target_file(), []), 4)
         # no further slot was asked, and on this thread
         assert backend.threads[seen:] == [threading.current_thread().name]
         assert pool.permits.qsize() == 1
+        # the wave the error ended was still timed: its one request slept, so it waited
+        assert pool.waits
+        backend.slow = False
         backend.failing = False
         # the one permit is back: the next batch, inline or pooled, completes
         assert within_deadline(lambda: query_batch(backend, build_prompt(target_file(), []), 3)) == ["{}"] * 3

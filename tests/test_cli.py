@@ -276,9 +276,13 @@ class TestEvaluate:
         assert len(doc["sweep"]) == 6  # 0..2 shots: 1 + 2 + 3 combinations
 
     def test_sweep_past_the_shot_database_exits_two(self, workspace, capsys, monkeypatch):
-        """Every combination of more shots than the shot database holds fails on
-        every file, so such a sweep is refused before it starts."""
-        shots = sum(row["split"] == "shot_pool" for row in manifest_rows(workspace["dataset"]))
+        """A combination of more shots of one label than the shot database holds
+        fails on every file, so a sweep that would reach one is refused before
+        it starts: --max-shots is bounded by the smaller label's shots, not by
+        all the shots."""
+        rows = [row for row in manifest_rows(workspace["dataset"]) if row["split"] == "shot_pool"]
+        fewest, scarce = min((sum(row["label"] == label for row in rows), label) for label in ("misconfig", "valid"))
+        assert fewest < len(rows)
         asked, run_sweep = [], confval.cli.run_sweep
 
         def recording_sweep(*args, **kwargs):
@@ -288,16 +292,16 @@ class TestEvaluate:
         monkeypatch.setattr(confval.cli, "run_sweep", recording_sweep)
         config = write_config(workspace["tmp"])
         argv = ["evaluate", "--dataset", str(workspace["dataset"]), "--config", str(config), "--sweep"]
-        for max_shots in (shots + 1, 100_000):
+        for max_shots in (fewest + 1, len(rows), 100_000):
             assert main([*argv, "--max-shots", str(max_shots)]) == 2
             captured = capsys.readouterr()
             assert captured.err.splitlines() == [
-                f"error: --max-shots {max_shots} exceeds the {shots} shots in the shot database"
+                f"error: --max-shots {max_shots} exceeds the {fewest} {scarce} shots in the shot database"
             ]
             assert captured.out == ""
         assert asked == []
-        assert main([*argv, "--max-shots", str(shots)]) == 0
-        assert asked == [shots]
+        assert main([*argv, "--max-shots", str(fewest)]) == 0
+        assert asked == [fewest]
 
     def test_full_sweep_combination_count(self, workspace):
         from confval.prompting import enumerate_shot_combinations
@@ -1073,14 +1077,17 @@ class TestBoundaryFuzz:
 
     @pytest.mark.parametrize("key", REPORT_KEYS)
     def test_report_without_required_key_exits_two(self, readme_workspace, monkeypatch, key):
-        """A report without the key, alone or as a sweep's entry."""
+        """A report without the key, alone or as a sweep's entry, which the error names."""
         monkeypatch.chdir(readme_workspace)
-        for wrap in (lambda doc: doc, lambda doc: {"schema_version": 1, "sweep": {"0v1m": doc}}):
+        for wrap, name in (
+            (lambda doc: doc, "report"),
+            (lambda doc: {"schema_version": 1, "sweep": {"0v1m": doc}}, "sweep['0v1m']"),
+        ):
             code, err = self._report(lambda doc: wrap({k: v for k, v in doc.items() if k != key}))
             assert code == 2
             (line,) = err.splitlines()
             assert line.startswith("error: malformed report mutated.json: SpecError")
-            assert f"missing key '{key}'" in line
+            assert f"{name}: missing key '{key}'" in line
 
     @pytest.mark.parametrize("csv", [False, True], ids=["table", "csv"])
     @pytest.mark.parametrize("section", ["per_project", "micro_f1_by_subcategory", "f1_by_param_count"])

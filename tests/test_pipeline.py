@@ -22,7 +22,7 @@ from confval.backend import (
     query_batch,
     truth_map,
 )
-from confval.errors import ResponseFormatError, ValidationFailedError
+from confval.errors import BackendError, ResponseFormatError, ValidationFailedError
 from confval.evaluation import run_evaluation
 from confval.misconfig_gen import Label
 from confval.pipeline import FileVote, PipelineSettings, Verdict, _settling_wave, validate_file, vote
@@ -756,3 +756,24 @@ def test_reading_once_matches_reading_every_slot(num_queries, retry_bound, data)
     assert parsed == Counter(set(texts[:calls]))
     assert (verdict and verdict.to_report("t")) == (expected and expected.to_report("t"))
     assert Counter(cached.accepted) == Counter(reference.accepted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_queries=st.integers(1, 10),
+    retry_bound=st.integers(0, 3),
+    data=st.data(),
+)
+def test_verdict_from_the_running_tally_matches_a_recount(num_queries, retry_bound, data):
+    """FileVote.verdict hands vote the tally it keeps wave by wave, so vote
+    counts no key again; after every wave that leaves an accepted answer that
+    verdict is the one a recount of the accepted answers gives."""
+    file_vote = FileVote(PipelineSettings(num_queries=num_queries, retry_bound=retry_bound))
+    slot = st.one_of(st.sampled_from(ALPHABET), st.just(BackendError("down", "transport", retryable=True)))
+    while wave := file_vote.next_wave():
+        file_vote.add(data.draw(st.lists(slot, min_size=wave, max_size=wave)))
+        accepted = file_vote.accepted
+        if accepted:
+            recount = vote(accepted, discarded_count=file_vote.discarded, target_key="t")
+            assert file_vote.verdict("t") == recount
+            assert vote(accepted, tally=Counter(r.canonical_key() for r in accepted)) == vote(accepted)

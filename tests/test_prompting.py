@@ -347,6 +347,13 @@ class TestSelectShots:
         }
         assert fallbacks == set(splits)
 
+    def test_count_is_per_label_across_projects(self, six_datasets):
+        splits, databases = six_splits_and_databases(six_datasets)
+        first = sorted(splits)[0]
+        for db, present in zip(databases, ([*splits.values()], [s for p, s in splits.items() if p != first])):
+            for label in Label:
+                assert db.count(label) == sum(lf.label is label for split in present for lf in split.shot_pool)
+
     def test_cosine_ranks_as_per_call_vectors(self, six_datasets):
         """Every strategy picks the shots the frozen reference does, whose
         cosine ranking builds per-call vectors: same-project pool first, then
