@@ -285,24 +285,19 @@ def build_prompt(
 ) -> Prompt:
     """Assemble shot blocks (valid ones first), the target file, and the
     directive question."""
-    valid = Label.VALID
-    ordered = [s for s in shots if s.labeled.label is valid] + [s for s in shots if s.labeled.label is not valid]
-    # the question is substituted once per (project, version), however many files share it
-    key = target.project, target.version
-    questions = {key: _question(question_template, *key)}
+    ordered = [s for s in shots if s.label is Label.VALID] + [
+        s for s in shots if s.label is Label.MISCONFIG
+    ]
     parts = []
     for i, shot in enumerate(ordered, start=1):
         file = shot.labeled.file
-        key = file.project, file.version
-        if key not in questions:
-            questions[key] = _question(question_template, *key)
         parts += (
             f"### Configuration File Shot #{i}\n", shot.rendered_file,
-            "Q: ", questions[key], "\nA: ", shot.answer_json, "\n\n",
+            "Q: ", _question(question_template, file.project, file.version), "\nA: ", shot.answer_json, "\n\n",
         )
     parts += (
         "### Configuration File\n", render_config(target, target.format),
-        "Q: ", questions[target.project, target.version],
+        "Q: ", _question(question_template, target.project, target.version),
     )
     text = "".join(parts)
     return Prompt(
